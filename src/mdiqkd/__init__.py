@@ -19,6 +19,7 @@ from .optics import (
     SourcePulse,
     build_network,
     coherent_outcome_probs,
+    coherent_success_probs,
     fock_outcome_probs,
 )
 from .protocol import (
@@ -30,6 +31,7 @@ from .protocol import (
     fock_yield_error,
     loss_adjusted_table,
     sift,
+    wcp_gains_qbers,
     wcp_observed_stats,
 )
 from .decoy import (

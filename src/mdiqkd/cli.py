@@ -120,10 +120,17 @@ def cmd_keyrate(args: argparse.Namespace, config: RunConfig) -> int:
     else:
         _write_json(path, keyrate.scan_json_obj(points, config=config.resolved_dict()))
 
-    cutoff = keyrate.find_cutoff(system, placement, grid=grid, fixed_intensities=fixed)
     print(f"wrote {path}")
-    print(f"cutoff_km = {cutoff:.2f}")
     if config.attenuation_db_per_km > 0:
+        cutoff = keyrate.find_cutoff(system, placement, grid=grid, fixed_intensities=fixed)
+        farthest = max((p.distance_km for p in points if p.key_rate > 0.0), default=0.0)
+        if cutoff == 0.0 and farthest > 0.0:
+            # No rate at 0 km, but a positive one further out (fixed unequal
+            # intensities with an off-center relay): bisect beyond the
+            # farthest scanned distance with a positive rate.
+            cutoff = keyrate.find_cutoff(system, placement, lo_km=farthest, grid=grid,
+                                         fixed_intensities=fixed)
+        print(f"cutoff_km = {cutoff:.2f}")
         d40 = 40.0 / config.attenuation_db_per_km
         if fixed is None:
             at40 = keyrate.optimize_intensity(system, d40, placement, grid=grid)
@@ -131,6 +138,7 @@ def cmd_keyrate(args: argparse.Namespace, config: RunConfig) -> int:
             at40 = keyrate.evaluate_point(system, d40, fixed[0], fixed[1], placement)
         print(f"rate_at_40db_loss = {at40.key_rate:.6e} (distance {d40:g} km)")
     else:
+        print("cutoff_km = n/a (lossless channel)")
         print("rate_at_40db_loss = n/a (lossless channel)")
     return EXIT_OK
 

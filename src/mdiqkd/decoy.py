@@ -171,17 +171,11 @@ def observed_from_model(grid: IntensityGrid, basis: Basis, u: np.ndarray,
     these observables carries a truncation bias.
     """
     t_a, t_b = transmittances
-    shape = (len(grid.alice), len(grid.bob))
-    gains = np.zeros(shape)
-    qbers = np.full(shape, np.nan)
-    for i, mu_a in enumerate(grid.alice):
-        for j, mu_b in enumerate(grid.bob):
-            stats = protocol.wcp_observed_stats(t_a * mu_a, t_b * mu_b, basis, u, det,
-                                                phase_nodes=phase_nodes)
-            gains[i, j] = stats.gain
-            if stats.qber is not None:
-                qbers[i, j] = stats.qber
-    return ObservedStats(basis=basis, grid=grid, gains=gains, qbers=qbers)
+    mu_a, mu_b = np.meshgrid(grid.alice, grid.bob, indexing="ij")
+    gains, qbers = protocol.wcp_gains_qbers(t_a * mu_a.ravel(), t_b * mu_b.ravel(), basis,
+                                            u, det, phase_nodes=phase_nodes)
+    return ObservedStats(basis=basis, grid=grid, gains=gains.reshape(mu_a.shape),
+                         qbers=qbers.reshape(mu_a.shape))
 
 
 @dataclass(frozen=True)

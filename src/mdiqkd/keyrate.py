@@ -23,13 +23,14 @@ from typing import Callable
 import numpy as np
 
 from .decoy import q11
+from .errors import NumericalFailure
 from .optics import DetectorModel, NetworkConfig, build_network
 from .protocol import (
     Basis,
     YieldErrorTable,
     build_yield_error_table,
     loss_adjusted_table,
-    wcp_observed_stats,
+    wcp_gains_qbers,
 )
 
 SCAN_CSV_HEADER = "distance_km,mu_a,mu_b,q11_rect,e11_diag,q_rect,e_rect,key_rate_raw,key_rate"
@@ -165,35 +166,56 @@ class SystemModel:
         }
 
 
-def evaluate_point(system: SystemModel, distance_km: float, mu_a: float, mu_b: float,
-                   placement="midpoint") -> ScanPoint:
-    """Evaluate every term of the rate bound at one distance and intensity pair."""
+@dataclass(frozen=True)
+class _DistanceTerms:
+    """The terms of the rate bound that depend on the distance alone."""
+
+    distance_km: float
+    t_a: float
+    t_b: float
+    y11: float
+    e11: float  # NaN when the diagonal basis has no successes at all
+
+
+def _distance_terms(system: SystemModel, distance_km: float, placement) -> _DistanceTerms:
     la, lb = arm_lengths(distance_km, placement)
     channel = ChannelModel(length_a_km=la, length_b_km=lb,
                            attenuation_db_per_km=system.attenuation_db_per_km)
     ta, tb = channel.transmittance_a, channel.transmittance_b
-
     rect_sent = loss_adjusted_table(system.single_photon_relay_tables[Basis.RECT], ta, tb)
     diag_sent = loss_adjusted_table(system.single_photon_relay_tables[Basis.DIAG], ta, tb)
-    y11 = float(rect_sent.yields[1, 1])
-    e11 = float(diag_sent.errors[1, 1])
-    if math.isnan(e11):
-        # No diagonal-basis successes at all; the rate is zero regardless.
-        e11_for_rate = 0.0
-    else:
-        e11_for_rate = e11
+    return _DistanceTerms(distance_km=distance_km, t_a=ta, t_b=tb,
+                          y11=float(rect_sent.yields[1, 1]),
+                          e11=float(diag_sent.errors[1, 1]))
 
-    stats = wcp_observed_stats(ta * mu_a, tb * mu_b, Basis.RECT,
-                               system.transfer_matrix, system.detector,
-                               phase_nodes=system.phase_nodes)
-    q11_rect = q11(mu_a, mu_b, y11)
-    rate = key_rate(q11_rect, e11_for_rate, stats.gain, stats.qber, system.params)
-    return ScanPoint(
-        distance_km=distance_km, mu_a=mu_a, mu_b=mu_b,
-        q11_rect=q11_rect, e11_diag=e11,
-        q_rect=stats.gain, e_rect=math.nan if stats.qber is None else stats.qber,
-        key_rate_raw=rate.raw, key_rate=rate.clamped,
-    )
+
+def _evaluate(system: SystemModel, terms: _DistanceTerms, mus_a, mus_b) -> list[ScanPoint]:
+    """Every term of the rate bound for a vector of intensity pairs at one distance."""
+    mus_a, mus_b = np.asarray(mus_a, dtype=float), np.asarray(mus_b, dtype=float)
+    gains, qbers = wcp_gains_qbers(terms.t_a * mus_a, terms.t_b * mus_b, Basis.RECT,
+                                   system.transfer_matrix, system.detector,
+                                   phase_nodes=system.phase_nodes)
+    # No diagonal-basis successes at all: the rate is zero regardless.
+    e11_for_rate = 0.0 if math.isnan(terms.e11) else terms.e11
+    points = []
+    for mu_a, mu_b, gain, qber in zip(mus_a.tolist(), mus_b.tolist(),
+                                      gains.tolist(), qbers.tolist()):
+        q11_rect = q11(mu_a, mu_b, terms.y11)
+        rate = key_rate(q11_rect, e11_for_rate, gain, None if math.isnan(qber) else qber,
+                        system.params)
+        points.append(ScanPoint(
+            distance_km=terms.distance_km, mu_a=mu_a, mu_b=mu_b,
+            q11_rect=q11_rect, e11_diag=terms.e11, q_rect=gain, e_rect=qber,
+            key_rate_raw=rate.raw, key_rate=rate.clamped,
+        ))
+    return points
+
+
+def evaluate_point(system: SystemModel, distance_km: float, mu_a: float, mu_b: float,
+                   placement="midpoint") -> ScanPoint:
+    """Evaluate every term of the rate bound at one distance and intensity pair."""
+    terms = _distance_terms(system, distance_km, placement)
+    return _evaluate(system, terms, [mu_a], [mu_b])[0]
 
 
 def default_intensity_grid() -> np.ndarray:
@@ -205,28 +227,28 @@ def optimize_intensity(system: SystemModel, distance_km: float, placement="midpo
                        *, grid=None, golden_iters: int = 40) -> ScanPoint:
     """Maximize the clamped rate over mu_a = mu_b.
 
-    Grid search over a log-spaced grid followed by one golden-section
-    refinement around the best grid point.  Ties break toward smaller mu,
-    so a distance beyond cutoff deterministically returns the smallest grid
-    intensity with rate zero.
+    Grid search over a log-spaced grid, evaluated in one batch, followed by
+    one golden-section refinement around the best grid point.  Ties break
+    toward smaller mu, so a distance beyond cutoff deterministically returns
+    the smallest grid intensity with rate zero.
     """
     mus = default_intensity_grid() if grid is None else np.asarray(grid, dtype=float)
     if mus.size == 0:
         raise ValueError("intensity grid is empty")
 
-    evaluated: list[tuple[float, float]] = []
+    terms = _distance_terms(system, distance_km, placement)
+    evaluated = _evaluate(system, terms, mus, mus)
 
     def rate_at(mu: float) -> float:
-        r = evaluate_point(system, distance_km, mu, mu, placement).key_rate
-        evaluated.append((mu, r))
-        return r
+        point = _evaluate(system, terms, [mu], [mu])[0]
+        evaluated.append(point)
+        return point.key_rate
 
     best_idx = 0
     best_rate = -math.inf
-    for idx, mu in enumerate(mus):
-        r = rate_at(float(mu))
-        if r > best_rate:
-            best_rate, best_idx = r, idx
+    for idx, point in enumerate(evaluated):
+        if point.key_rate > best_rate:
+            best_rate, best_idx = point.key_rate, idx
 
     lo = float(mus[max(best_idx - 1, 0)])
     hi = float(mus[min(best_idx + 1, len(mus) - 1)])
@@ -246,8 +268,8 @@ def optimize_intensity(system: SystemModel, distance_km: float, placement="midpo
                 d = a + invphi * (b - a)
                 fd = rate_at(d)
 
-    best_mu = min(mu for mu, r in evaluated if r == max(r for _, r in evaluated))
-    return evaluate_point(system, distance_km, best_mu, best_mu, placement)
+    best_rate = max(p.key_rate for p in evaluated)
+    return min((p for p in evaluated if p.key_rate == best_rate), key=lambda p: p.mu_a)
 
 
 def distance_scan(system: SystemModel, distances, placement="midpoint", *,
@@ -274,11 +296,15 @@ def distance_scan(system: SystemModel, distances, placement="midpoint", *,
 def find_cutoff(system: SystemModel, placement="midpoint", *, lo_km: float = 0.0,
                 hi_km: float = 500.0, tol_km: float = 0.25, grid=None,
                 fixed_intensities: tuple[float, float] | None = None) -> float:
-    """Distance at which the rate reaches zero, by bisection.
+    """Distance beyond lo_km at which the rate reaches zero, by bisection.
 
     Uses per-distance optimized intensities unless a fixed pair is given.
-    The achievable rate is non-increasing in distance, so the boundary of
-    the positive-rate region is well defined.
+    Returns lo_km when the rate there is already zero.  The bisection
+    assumes one zero crossing beyond lo_km.  With optimized or equal
+    intensities the rate falls with distance; with fixed unequal
+    intensities and an off-center relay it can rise first, so start from a
+    distance with a positive rate.  Raises NumericalFailure when the rate
+    stays positive up to 20000 km.
     """
     def positive(d: float) -> bool:
         if fixed_intensities is not None:
@@ -289,10 +315,10 @@ def find_cutoff(system: SystemModel, placement="midpoint", *, lo_km: float = 0.0
     if not positive(lo_km):
         return lo_km
     hi = hi_km
-    while positive(hi):
+    while hi <= lo_km or positive(hi):
         hi *= 2.0
         if hi > 20000.0:
-            raise RuntimeError("no cutoff found below 20000 km")
+            raise NumericalFailure("no cutoff found below 20000 km")
     lo = lo_km
     while hi - lo > tol_km:
         mid = 0.5 * (lo + hi)

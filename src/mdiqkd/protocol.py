@@ -23,8 +23,7 @@ from .optics import (
     BsmOutcome,
     DetectorModel,
     Polarization,
-    SourcePulse,
-    coherent_outcome_probs,
+    coherent_success_probs,
     fock_outcome_probs,
 )
 
@@ -168,6 +167,16 @@ def _bit_pairs(basis: Basis):
     return tuple(product(BASIS_STATES[basis], repeat=2))
 
 
+# Which (pair, outcome) terms of a basis are errors, pairs in _bit_pairs order
+# and outcomes psi-, psi+, as laid out by coherent_success_probs.
+_ERROR_TERMS = {
+    basis: np.array([is_error(basis, pol_a, pol_b, outcome)
+                     for pol_a, pol_b in _bit_pairs(basis)
+                     for outcome in (BsmOutcome.PSI_MINUS, BsmOutcome.PSI_PLUS)])
+    for basis in Basis
+}
+
+
 def fock_yield_error(n: int, m: int, basis: Basis, u: np.ndarray,
                      det: DetectorModel) -> tuple[float, float | None]:
     """Yield and error rate of the (n, m) photon-number component.
@@ -204,6 +213,27 @@ def build_yield_error_table(basis: Basis, u: np.ndarray, det: DetectorModel,
     return YieldErrorTable(basis=basis, n_max=n_max, yields=yields, errors=errors)
 
 
+def wcp_gains_qbers(mu_a, mu_b, basis: Basis, u: np.ndarray, det: DetectorModel,
+                    *, phase_nodes: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    """Gains and error rates of weak coherent pulses over an intensity axis.
+
+    mu_a and mu_b are two scalars or two 1-d arrays of one length; every
+    entry is one wcp_observed_stats evaluation, with the error rate NaN
+    where the gain is zero.  All four bit pairs go through one coherent_success_probs call.
+    """
+    pairs = _bit_pairs(basis)
+    probs = coherent_success_probs(mu_a, mu_b, pairs, u, det, phase_nodes=phase_nodes)
+    # Running sums over the terms in pair-then-outcome order; accumulate adds
+    # one term at a time, so an entry does not depend on the batch around it.
+    terms = probs.reshape(-1, 2 * len(pairs))
+    success = np.add.accumulate(terms, axis=1)[:, -1]
+    errors = np.add.accumulate(np.where(_ERROR_TERMS[basis], terms, 0.0), axis=1)[:, -1]
+    gains = success / 4.0
+    positive = gains > 0.0
+    qbers = np.where(positive, errors / 4.0 / np.where(positive, gains, 1.0), np.nan)
+    return np.where(positive, gains, 0.0), qbers
+
+
 def wcp_observed_stats(mu_a: float, mu_b: float, basis: Basis, u: np.ndarray,
                        det: DetectorModel, *, phase_nodes: int = 64) -> AggregateStats:
     """Gain and error rate for weak coherent pulses of the given intensities.
@@ -212,20 +242,11 @@ def wcp_observed_stats(mu_a: float, mu_b: float, basis: Basis, u: np.ndarray,
     the same averaging and error classification as the photon-number tables,
     evaluated on the analytic coherent-pulse model.
     """
-    success = 0.0
-    errors = 0.0
-    for pol_a, pol_b in _bit_pairs(basis):
-        probs = coherent_outcome_probs(
-            SourcePulse(pol_a, mu_a), SourcePulse(pol_b, mu_b), u, det,
-            phase_nodes=phase_nodes)
-        for outcome in (BsmOutcome.PSI_MINUS, BsmOutcome.PSI_PLUS):
-            success += probs[outcome]
-            if is_error(basis, pol_a, pol_b, outcome):
-                errors += probs[outcome]
-    gain = success / 4.0
+    gains, qbers = wcp_gains_qbers(mu_a, mu_b, basis, u, det, phase_nodes=phase_nodes)
+    gain = float(gains[0])
     if gain <= 0.0:
         return AggregateStats(basis=basis, gain=0.0, qber=None)
-    return AggregateStats(basis=basis, gain=gain, qber=errors / 4.0 / gain)
+    return AggregateStats(basis=basis, gain=gain, qber=float(qbers[0]))
 
 
 def _binom_pmf(k: int, n: int, p: float) -> float:

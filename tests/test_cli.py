@@ -105,6 +105,29 @@ class TestKeyrateCommand:
                           "--out", str(out)], capsys)
         assert code == 0  # equal lengths behave like midpoint
 
+    def test_lossless_channel_skips_cutoff(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        code, stdout, stderr = run(["keyrate", "--attenuation-db-per-km=0",
+                                    "--distances-km=0,10", "--opt-grid-points=10",
+                                    "--out", str(out)], capsys)
+        assert code == 0, stderr
+        assert "cutoff_km = n/a (lossless channel)" in stdout
+        assert "rate_at_40db_loss = n/a (lossless channel)" in stdout
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert len(rows) == 3
+
+    def test_cutoff_when_rate_rises_from_zero(self, tmp_path, capsys):
+        # Fixed unequal intensities with the relay at Alice: no rate at 0 km,
+        # positive rates from 12.5 to 75 km.  The cutoff lies beyond them.
+        out = tmp_path / "scan.csv"
+        code, stdout, _ = run([
+            "keyrate", "--intensity-mode=fixed", "--fixed-mu-a=0.06302",
+            "--fixed-mu-b=0.5925", "--relay-position=at-alice",
+            "--detector-efficiency=0.1523", "--dark-count-prob=8.913e-06",
+            "--misalignment=0.02998", "--out", str(out)], capsys)
+        assert code == 0
+        assert "cutoff_km = 87.14" in stdout
+
 
 class TestDecoyCommand:
     def test_round_trip_report(self, tmp_path, capsys):

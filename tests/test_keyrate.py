@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdiqkd.decoy import q11
+from mdiqkd.errors import NumericalFailure
 from mdiqkd.keyrate import (
     SCAN_CSV_HEADER,
     ChannelModel,
@@ -112,6 +114,41 @@ class TestChannel:
             arm_lengths(10.0, 1.5)
 
 
+def reference_optimize(system, distance_km, placement, golden_iters=40):
+    """Grid then golden-section search, one scalar evaluate_point per intensity."""
+    mus = np.geomspace(0.005, 1.0, 40)
+    evaluated = []
+
+    def rate_at(mu):
+        r = evaluate_point(system, distance_km, mu, mu, placement).key_rate
+        evaluated.append((mu, r))
+        return r
+
+    best_idx, best_rate = 0, -math.inf
+    for idx, mu in enumerate(mus):
+        r = rate_at(float(mu))
+        if r > best_rate:
+            best_rate, best_idx = r, idx
+    a = float(mus[max(best_idx - 1, 0)])
+    b = float(mus[min(best_idx + 1, len(mus) - 1)])
+    if b > a:
+        invphi = (math.sqrt(5.0) - 1.0) / 2.0
+        c, d = b - invphi * (b - a), a + invphi * (b - a)
+        fc, fd = rate_at(c), rate_at(d)
+        for _ in range(golden_iters):
+            if fc >= fd:
+                b, d, fd = d, c, fc
+                c = b - invphi * (b - a)
+                fc = rate_at(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + invphi * (b - a)
+                fd = rate_at(d)
+    best = max(r for _, r in evaluated)
+    best_mu = min(mu for mu, r in evaluated if r == best)
+    return evaluate_point(system, distance_km, best_mu, best_mu, placement)
+
+
 class TestEvaluatePoint:
     def test_ideal_rate_equals_q11(self):
         # Perfect devices at zero distance: no errors in either basis, so the
@@ -173,6 +210,16 @@ class TestOptimization:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             optimize_intensity(REF_SYSTEM, 0.0, grid=np.array([]))
+
+    @pytest.mark.parametrize("placement", ["midpoint", "at-alice", 0.3])
+    @pytest.mark.parametrize("distance", [0.0, 100.0, 250.0])
+    def test_matches_scalar_reference_loop(self, placement, distance):
+        # The batched grid pass and the stored best point must reproduce the
+        # point-by-point search exactly.
+        got = optimize_intensity(REF_SYSTEM, distance, placement)
+        ref = reference_optimize(REF_SYSTEM, distance, placement)
+        assert list(map(repr, dataclasses.astuple(got))) == \
+            list(map(repr, dataclasses.astuple(ref)))
 
     def test_refinement_beats_dense_grid(self):
         # the golden refinement must find at least as much rate as a dense
@@ -237,6 +284,22 @@ class TestCutoff:
         # the relay misalignment leakage head on (see the doubling analysis
         # in the acceptance suite).
         assert cut_alice == pytest.approx(74.3, abs=1.0)
+
+    def test_lo_km_beyond_hi_km(self):
+        # The upper bracket is doubled until it lies beyond lo_km.
+        cut = find_cutoff(REF_SYSTEM, "midpoint", lo_km=150.0, hi_km=100.0,
+                          fixed_intensities=(0.3, 0.3))
+        assert cut == pytest.approx(find_cutoff(REF_SYSTEM, "midpoint",
+                                                fixed_intensities=(0.3, 0.3)), abs=0.25)
+
+    def test_zero_rate_at_lo_km_returns_lo_km(self):
+        assert find_cutoff(REF_SYSTEM, "midpoint", lo_km=400.0,
+                           fixed_intensities=(0.3, 0.3)) == 400.0
+
+    def test_lossless_channel_is_numerical_failure(self):
+        lossless = dataclasses.replace(REF_SYSTEM, attenuation_db_per_km=0.0)
+        with pytest.raises(NumericalFailure, match="no cutoff"):
+            find_cutoff(lossless, "midpoint", fixed_intensities=(0.3, 0.3))
 
 
 class TestSerialization:

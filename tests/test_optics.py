@@ -13,8 +13,10 @@ from mdiqkd.optics import (
     Polarization,
     SourcePulse,
     build_network,
+    _class_probs,
     classify_pattern,
     coherent_outcome_probs,
+    coherent_success_probs,
     fock_outcome_probs,
     phase_quadrature,
     unitarity_defect,
@@ -292,6 +294,60 @@ class TestCoherentModel:
                 for outcome in BsmOutcome:
                     assert a[outcome] == pytest.approx(b[outcome], abs=1e-12)
                     assert f_a[outcome] == pytest.approx(f_b[outcome], abs=1e-12)
+
+
+ALL_PAIRS = tuple(itertools.product(Polarization, repeat=2))
+
+
+def sixteen_pattern_reference(mu_a, pol_a, mu_b, pol_b, u, det):
+    """Phase average of all 16 click patterns, classified by _class_probs."""
+    a_in = np.zeros(4, dtype=complex)
+    a_in[0:2] = math.sqrt(mu_a) * pol_a.jones
+    b_in = np.zeros(4, dtype=complex)
+    b_in[2:4] = math.sqrt(mu_b) * pol_b.jones
+    phases, weights = phase_quadrature(64)
+    beta = (u @ a_in)[None, :] + np.exp(1j * phases)[:, None] * (u @ b_in)[None, :]
+    p_click = 1.0 - (1.0 - det.darks) * np.exp(-det.etas * np.abs(beta) ** 2)
+    return weights @ _class_probs(p_click)
+
+
+class TestCoherentSuccessKernel:
+    @pytest.mark.parametrize("transmittance", [1.0, 1e-2, 1e-5])
+    def test_matches_sixteen_pattern_path(self, transmittance):
+        mus = transmittance * np.array([0.0, 0.005, 0.1, 0.6, 1.0])
+        got = coherent_success_probs(mus, mus[::-1], ALL_PAIRS, U_REF, REF_DET)
+        assert got.shape == (len(mus), len(ALL_PAIRS), 2)
+        for i, (mu_a, mu_b) in enumerate(zip(mus, mus[::-1])):
+            for k, (pol_a, pol_b) in enumerate(ALL_PAIRS):
+                ref = sixteen_pattern_reference(mu_a, pol_a, mu_b, pol_b, U_REF, REF_DET)
+                assert abs(got[i, k, 0] - ref[0]) <= 1e-15
+                assert abs(got[i, k, 1] - ref[1]) <= 1e-15
+                fail = coherent_outcome_probs(SourcePulse(pol_a, mu_a), SourcePulse(pol_b, mu_b),
+                                              U_REF, REF_DET)[BsmOutcome.FAIL]
+                assert abs(fail - ref[2]) <= 1e-15
+
+    def test_batch_equals_single_evaluations(self):
+        # 19 intensities span several chunks, the last one partial; batching
+        # must not move a bit.
+        rng = np.random.default_rng(7)
+        mu_a, mu_b = rng.uniform(0.0, 1.0, 19), rng.uniform(0.0, 1.0, 19)
+        got = coherent_success_probs(mu_a, mu_b, ALL_PAIRS, U_REF, REF_DET)
+        for i in range(len(mu_a)):
+            for k, pair in enumerate(ALL_PAIRS):
+                single = coherent_success_probs(mu_a[i], mu_b[i], (pair,), U_REF, REF_DET)
+                assert got[i, k].tolist() == single[0, 0].tolist()
+
+    @pytest.mark.parametrize("mu_a,mu_b", [
+        ([-0.1], [0.1]), ([0.1], [math.nan]), ([math.inf], [0.1]),
+        ([[0.1, 0.2]], [[0.1, 0.2]]), ([0.1, 0.2], [0.1]), (0.1, [0.1, 0.2])])
+    def test_rejects_bad_intensities(self, mu_a, mu_b):
+        with pytest.raises(ValueError):
+            coherent_success_probs(mu_a, mu_b, ALL_PAIRS, U_REF, REF_DET)
+
+    def test_rejects_non_unitary(self):
+        bad = np.eye(4, dtype=complex) * (1 + 1e-6)
+        with pytest.raises(ValueError, match="unitary"):
+            coherent_success_probs([0.1], [0.1], ALL_PAIRS, bad, DET0)
 
 
 class TestValidation:

@@ -23,6 +23,7 @@ from mdiqkd.protocol import (
     fock_yield_error,
     loss_adjusted_table,
     sift,
+    wcp_gains_qbers,
     wcp_observed_stats,
 )
 
@@ -108,6 +109,26 @@ class TestAggregateStats:
                                DetectorModel(eta, 6.02e-6)).gain
             for eta in (0.05, 0.145, 0.4, 0.9)]
         assert all(b > a for a, b in zip(gains_eta, gains_eta[1:]))
+
+
+class TestBatchedAggregateStats:
+    @pytest.mark.parametrize("basis", list(Basis))
+    def test_vector_equals_scalar_evaluations(self, basis):
+        mu_a = np.array([0.0, 1e-4, 0.05, 0.3, 0.7, 0.0, 0.2, 0.9, 0.4, 0.01])
+        mu_b = np.array([0.0, 0.2, 0.05, 0.6, 1e-3, 0.4, 0.2, 0.1, 0.4, 0.8])
+        gains, qbers = wcp_gains_qbers(mu_a, mu_b, basis, U_REF, REF_DET)
+        for i in range(len(mu_a)):
+            stats = wcp_observed_stats(mu_a[i], mu_b[i], basis, U_REF, REF_DET)
+            assert gains[i] == stats.gain
+            if stats.qber is None:
+                assert np.isnan(qbers[i])
+            else:
+                assert qbers[i] == stats.qber
+
+    def test_zero_gain_has_undefined_error_rate(self):
+        gains, qbers = wcp_gains_qbers([0.0, 0.1], [0.0, 0.1], Basis.RECT, IDEAL, DET0)
+        assert gains[0] == 0.0 and np.isnan(qbers[0])
+        assert gains[1] > 0.0 and qbers[1] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestSift:
