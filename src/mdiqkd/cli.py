@@ -17,12 +17,13 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import decoy, hom, keyrate, protocol
-from .config import KEY_SPECS, RunConfig, load_config_file
+from .config import RunConfig, load_config_file
 from .errors import ConfigError, NumericalFailure
 from .optics import (
     BsmOutcome,
@@ -64,9 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="invert an externally produced observed-statistics JSON "
                                 "file instead of synthesizing one; emits the estimated "
                                 "yield/error table as JSON")
-        for spec in KEY_SPECS:
-            p.add_argument(f"--{spec.name.replace('_', '-')}", dest=f"key_{spec.name}",
-                           metavar="VALUE", help=spec.help)
+        for key in fields(RunConfig):
+            p.add_argument(f"--{key.name.replace('_', '-')}", dest=f"key_{key.name}",
+                           metavar="VALUE", help=key.metadata["help"])
     return parser
 
 
@@ -74,10 +75,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     mapping: dict[str, str] = {}
     if args.config:
         mapping.update(load_config_file(args.config))
-    for spec in KEY_SPECS:
-        value = getattr(args, f"key_{spec.name}", None)
+    for key in fields(RunConfig):
+        value = getattr(args, f"key_{key.name}", None)
         if value is not None:
-            mapping[spec.name] = value
+            mapping[key.name] = value
     return RunConfig.from_mapping(mapping)
 
 
@@ -132,10 +133,7 @@ def cmd_keyrate(args: argparse.Namespace, config: RunConfig) -> int:
                                          fixed_intensities=fixed)
         print(f"cutoff_km = {cutoff:.2f}")
         d40 = 40.0 / config.attenuation_db_per_km
-        if fixed is None:
-            at40 = keyrate.optimize_intensity(system, d40, placement, grid=grid)
-        else:
-            at40 = keyrate.evaluate_point(system, d40, fixed[0], fixed[1], placement)
+        at40 = keyrate._rate_point(system, d40, placement, grid=grid, fixed_intensities=fixed)
         print(f"rate_at_40db_loss = {at40.key_rate:.6e} (distance {d40:g} km)")
     else:
         print("cutoff_km = n/a (lossless channel)")
@@ -203,6 +201,9 @@ def _invert_external(args: argparse.Namespace, config: RunConfig) -> int:
 def cmd_decoy(args: argparse.Namespace, config: RunConfig) -> int:
     if getattr(args, "observed", None):
         return _invert_external(args, config)
+    if config.estimation_n_max < 1:
+        raise ConfigError("the decoy round trip reports Y11 and e11, so it needs "
+                          "estimation_n_max >= 1")
     system = config.system()
     la, lb = keyrate.arm_lengths(config.decoy_distance_km, config.placement())
     channel = keyrate.ChannelModel(length_a_km=la, length_b_km=lb,
@@ -221,8 +222,7 @@ def cmd_decoy(args: argparse.Namespace, config: RunConfig) -> int:
             obs = decoy.observed_from_table(truth, grid)
         else:
             obs = decoy.observed_from_model(grid, basis, system.transfer_matrix,
-                                            system.detector, transmittances=(ta, tb),
-                                            phase_nodes=config.phase_nodes)
+                                            system.detector, transmittances=(ta, tb))
         est = decoy.estimate_table(obs, n_max=n_max)
         per_basis[basis.value] = {
             "true": _table_entries(truth),
@@ -307,7 +307,7 @@ def cmd_bsm(args: argparse.Namespace, config: RunConfig) -> int:
             else:
                 probs = coherent_outcome_probs(
                     SourcePulse(pol_a, config.bsm_mu_a), SourcePulse(pol_b, config.bsm_mu_b),
-                    u, det, phase_nodes=config.phase_nodes)
+                    u, det)
             rows.append((pol_a.value, pol_b.value, probs[BsmOutcome.PSI_MINUS],
                          probs[BsmOutcome.PSI_PLUS], probs[BsmOutcome.FAIL]))
 

@@ -2,8 +2,10 @@
 
 A config file holds one `key = value` pair per line; `#` starts a comment.
 Lists are comma-separated.  Command-line flags mirror the keys and win over
-file values.  Defaults are the reference parameter set: 14.5% relay
-detection efficiency, 6.02e-6 dark-click probability per gate, 1.5% total
+file values.  Each key is one `RunConfig` field that carries its default,
+parser and help text; the field order is the canonical key order.
+Defaults are the reference parameter set: 14.5% relay detection
+efficiency, 6.02e-6 dark-click probability per gate, 1.5% total
 misalignment, 0.2 dB/km fiber, error-correction inefficiency 1.16.
 
 Every emitted result file embeds the resolved configuration (all keys,
@@ -12,7 +14,8 @@ canonical order) so a run can be reproduced from its own output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable
 
 from .errors import ConfigError
@@ -25,9 +28,12 @@ _DEFAULT_DISTANCES = tuple(i * 12.5 for i in range(25))  # 0..300 km
 
 def _parse_float(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise ConfigError(f"expected a number, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_int(text: str) -> int:
@@ -65,107 +71,62 @@ def _render(value: Any) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class KeySpec:
-    name: str
-    parse: Callable[[str], Any]
-    default: Any
-    help: str
-
-
-KEY_SPECS: tuple[KeySpec, ...] = (
-    KeySpec("detector_efficiency", _parse_float, 0.145,
-            "relay detection efficiency (optics transmittance x detector efficiency)"),
-    KeySpec("dark_count_prob", _parse_float, 6.02e-6,
-            "dark-click probability per detector per gate"),
-    KeySpec("misalignment", _parse_float, 0.015,
-            "total misalignment fraction, split evenly over the two rotations"),
-    KeySpec("attenuation_db_per_km", _parse_float, 0.2, "fiber loss coefficient"),
-    KeySpec("relay_position", _choice("midpoint", "at-alice", "custom"), "midpoint",
-            "relay placement; custom uses arm_length_*_km as a ratio"),
-    KeySpec("arm_length_a_km", _parse_float, 0.0, "Alice arm length for custom placement"),
-    KeySpec("arm_length_b_km", _parse_float, 0.0, "Bob arm length for custom placement"),
-    KeySpec("error_correction_inefficiency", _parse_float, 1.16,
-            "f >= 1 multiplying the error-correction entropy term"),
-    KeySpec("phase_nodes", _parse_int, 64, "Gauss-Legendre nodes for phase averaging"),
-    KeySpec("distances_km", _parse_float_list, _DEFAULT_DISTANCES,
-            "total distances for the rate scan, ascending"),
-    KeySpec("intensity_mode", _choice("optimize", "fixed"), "optimize",
-            "per-distance optimization of mu, or fixed_mu_*"),
-    KeySpec("fixed_mu_a", _parse_float, 0.1, "Alice signal intensity in fixed mode"),
-    KeySpec("fixed_mu_b", _parse_float, 0.1, "Bob signal intensity in fixed mode"),
-    KeySpec("opt_grid_min", _parse_float, 0.005, "smallest intensity in the search grid"),
-    KeySpec("opt_grid_max", _parse_float, 1.0, "largest intensity in the search grid"),
-    KeySpec("opt_grid_points", _parse_int, 40, "log-spaced intensity grid size"),
-    KeySpec("grid_alice", _parse_float_list, (0.05, 0.1, 0.2, 0.3, 0.4, 0.5),
-            "decoy intensities used by Alice"),
-    KeySpec("grid_bob", _parse_float_list, (0.05, 0.1, 0.2, 0.3, 0.4, 0.5),
-            "decoy intensities used by Bob"),
-    KeySpec("estimation_n_max", _parse_int, 4, "photon-number truncation of the inversion"),
-    KeySpec("synthesis_n_max", _parse_int, 8, "photon-number truncation of table synthesis"),
-    KeySpec("decoy_distance_km", _parse_float, 0.0,
-            "total distance at which the decoy round trip is synthesized"),
-    KeySpec("decoy_synthesis", _choice("table", "model"), "table",
-            "synthesize observables from the truncated table or the full coherent model"),
-    KeySpec("bsm_input", _choice("fock", "coherent"), "fock",
-            "input kind for the outcome-probability table"),
-    KeySpec("bsm_photons_a", _parse_int, 1, "Alice photon number for bsm_input=fock"),
-    KeySpec("bsm_photons_b", _parse_int, 1, "Bob photon number for bsm_input=fock"),
-    KeySpec("bsm_mu_a", _parse_float, 0.1, "Alice intensity for bsm_input=coherent"),
-    KeySpec("bsm_mu_b", _parse_float, 0.1, "Bob intensity for bsm_input=coherent"),
-    KeySpec("hom_mean_photon_number", _parse_float, 0.1, "intensity per interfering pulse"),
-    KeySpec("hom_fwhm_ps", _parse_float, 200.0, "intensity FWHM of the Gaussian pulses"),
-    KeySpec("hom_window_ns", _parse_float, 2.0,
-            "coincidence window; treated as fully covering both pulses"),
-    KeySpec("hom_efficiency", _parse_float, 1.0, "detector efficiency in the dip model"),
-    KeySpec("hom_dark_prob", _parse_float, 0.0, "dark-click probability in the dip model"),
-    KeySpec("hom_overlap_ceiling", _parse_float, 1.0,
-            "cap on the mode overlap modeling residual imperfections (1 = off)"),
-    KeySpec("hom_delays_ps", _parse_float_list,
-            tuple(float(t) for t in range(-1000, 1001, 25)), "delay sweep"),
-    KeySpec("format", _choice("csv", "json"), "csv", "output file format"),
-)
-
-_SPEC_BY_NAME = {spec.name: spec for spec in KEY_SPECS}
+def _key(default: Any, parse: Callable[[str], Any], help: str) -> Any:
+    """A config key: a RunConfig field with its default, parser and help text."""
+    return field(default=default, metadata={"parse": parse, "help": help})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    detector_efficiency: float = 0.145
-    dark_count_prob: float = 6.02e-6
-    misalignment: float = 0.015
-    attenuation_db_per_km: float = 0.2
-    relay_position: str = "midpoint"
-    arm_length_a_km: float = 0.0
-    arm_length_b_km: float = 0.0
-    error_correction_inefficiency: float = 1.16
-    phase_nodes: int = 64
-    distances_km: tuple[float, ...] = _DEFAULT_DISTANCES
-    intensity_mode: str = "optimize"
-    fixed_mu_a: float = 0.1
-    fixed_mu_b: float = 0.1
-    opt_grid_min: float = 0.005
-    opt_grid_max: float = 1.0
-    opt_grid_points: int = 40
-    grid_alice: tuple[float, ...] = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
-    grid_bob: tuple[float, ...] = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
-    estimation_n_max: int = 4
-    synthesis_n_max: int = 8
-    decoy_distance_km: float = 0.0
-    decoy_synthesis: str = "table"
-    bsm_input: str = "fock"
-    bsm_photons_a: int = 1
-    bsm_photons_b: int = 1
-    bsm_mu_a: float = 0.1
-    bsm_mu_b: float = 0.1
-    hom_mean_photon_number: float = 0.1
-    hom_fwhm_ps: float = 200.0
-    hom_window_ns: float = 2.0
-    hom_efficiency: float = 1.0
-    hom_dark_prob: float = 0.0
-    hom_overlap_ceiling: float = 1.0
-    hom_delays_ps: tuple[float, ...] = tuple(float(t) for t in range(-1000, 1001, 25))
-    format: str = "csv"
+    detector_efficiency: float = _key(
+        0.145, _parse_float,
+        "relay detection efficiency (optics transmittance x detector efficiency)")
+    dark_count_prob: float = _key(
+        6.02e-6, _parse_float, "dark-click probability per detector per gate")
+    misalignment: float = _key(
+        0.015, _parse_float, "total misalignment fraction, split evenly over the two rotations")
+    attenuation_db_per_km: float = _key(0.2, _parse_float, "fiber loss coefficient")
+    relay_position: str = _key(
+        "midpoint", _choice("midpoint", "at-alice", "custom"),
+        "relay placement; custom uses arm_length_*_km as a ratio")
+    arm_length_a_km: float = _key(0.0, _parse_float, "Alice arm length for custom placement")
+    arm_length_b_km: float = _key(0.0, _parse_float, "Bob arm length for custom placement")
+    error_correction_inefficiency: float = _key(
+        1.16, _parse_float, "f >= 1 multiplying the error-correction entropy term")
+    distances_km: tuple[float, ...] = _key(
+        _DEFAULT_DISTANCES, _parse_float_list, "total distances for the rate scan, ascending")
+    intensity_mode: str = _key(
+        "optimize", _choice("optimize", "fixed"), "per-distance optimization of mu, or fixed_mu_*")
+    fixed_mu_a: float = _key(0.1, _parse_float, "Alice signal intensity in fixed mode")
+    fixed_mu_b: float = _key(0.1, _parse_float, "Bob signal intensity in fixed mode")
+    opt_grid_min: float = _key(0.005, _parse_float, "smallest intensity in the search grid")
+    opt_grid_max: float = _key(1.0, _parse_float, "largest intensity in the search grid")
+    opt_grid_points: int = _key(40, _parse_int, "log-spaced intensity grid size")
+    grid_alice: tuple[float, ...] = _key(
+        (0.05, 0.1, 0.2, 0.3, 0.4, 0.5), _parse_float_list, "decoy intensities used by Alice")
+    grid_bob: tuple[float, ...] = _key(
+        (0.05, 0.1, 0.2, 0.3, 0.4, 0.5), _parse_float_list, "decoy intensities used by Bob")
+    estimation_n_max: int = _key(4, _parse_int, "photon-number truncation of the inversion")
+    decoy_distance_km: float = _key(
+        0.0, _parse_float, "total distance at which the decoy round trip is synthesized")
+    decoy_synthesis: str = _key(
+        "table", _choice("table", "model"),
+        "synthesize observables from the truncated table or the full coherent model")
+    bsm_input: str = _key(
+        "fock", _choice("fock", "coherent"), "input kind for the outcome-probability table")
+    bsm_photons_a: int = _key(1, _parse_int, "Alice photon number for bsm_input=fock")
+    bsm_photons_b: int = _key(1, _parse_int, "Bob photon number for bsm_input=fock")
+    bsm_mu_a: float = _key(0.1, _parse_float, "Alice intensity for bsm_input=coherent")
+    bsm_mu_b: float = _key(0.1, _parse_float, "Bob intensity for bsm_input=coherent")
+    hom_mean_photon_number: float = _key(0.1, _parse_float, "intensity per interfering pulse")
+    hom_fwhm_ps: float = _key(200.0, _parse_float, "intensity FWHM of the Gaussian pulses")
+    hom_efficiency: float = _key(1.0, _parse_float, "detector efficiency in the dip model")
+    hom_dark_prob: float = _key(0.0, _parse_float, "dark-click probability in the dip model")
+    hom_overlap_ceiling: float = _key(
+        1.0, _parse_float, "cap on the mode overlap modeling residual imperfections (1 = off)")
+    hom_delays_ps: tuple[float, ...] = _key(
+        tuple(float(t) for t in range(-1000, 1001, 25)), _parse_float_list, "delay sweep")
+    format: str = _key("csv", _choice("csv", "json"), "output file format")
 
     def __post_init__(self):
         self._validate()
@@ -182,7 +143,6 @@ class RunConfig:
         check(self.attenuation_db_per_km >= 0, "attenuation_db_per_km must be >= 0")
         check(self.error_correction_inefficiency >= 1.0,
               "error_correction_inefficiency must be >= 1")
-        check(self.phase_nodes >= 2, "phase_nodes must be >= 2")
         check(len(self.distances_km) > 0, "distances_km must not be empty")
         check(all(d >= 0 for d in self.distances_km), "distances_km must be >= 0")
         check(all(b >= a for a, b in zip(self.distances_km, self.distances_km[1:])),
@@ -203,8 +163,6 @@ class RunConfig:
             check(all(b > a for a, b in zip(grid, grid[1:])),
                   f"{name} must be strictly increasing")
         check(self.estimation_n_max >= 0, "estimation_n_max must be >= 0")
-        check(self.synthesis_n_max >= self.estimation_n_max,
-              "synthesis_n_max must be >= estimation_n_max")
         check(len(self.grid_alice) >= self.estimation_n_max + 1,
               f"grid_alice needs at least estimation_n_max+1 = "
               f"{self.estimation_n_max + 1} intensities")
@@ -216,7 +174,6 @@ class RunConfig:
         check(self.bsm_mu_a >= 0 and self.bsm_mu_b >= 0, "bsm intensities must be >= 0")
         check(self.hom_mean_photon_number >= 0, "hom_mean_photon_number must be >= 0")
         check(self.hom_fwhm_ps > 0, "hom_fwhm_ps must be > 0")
-        check(self.hom_window_ns > 0, "hom_window_ns must be > 0")
         check(0.0 <= self.hom_efficiency <= 1.0, "hom_efficiency must be in [0, 1]")
         check(0.0 <= self.hom_dark_prob < 1.0, "hom_dark_prob must be in [0, 1)")
         check(0.0 < self.hom_overlap_ceiling <= 1.0,
@@ -227,11 +184,11 @@ class RunConfig:
     def from_mapping(cls, mapping: dict[str, str]) -> "RunConfig":
         values: dict[str, Any] = {}
         for key, raw in mapping.items():
-            spec = _SPEC_BY_NAME.get(key)
-            if spec is None:
+            key_field = _FIELDS.get(key)
+            if key_field is None:
                 raise ConfigError(f"unknown configuration key {key!r}")
             try:
-                values[key] = spec.parse(raw)
+                values[key] = key_field.metadata["parse"](raw)
             except ConfigError as exc:
                 raise ConfigError(f"bad value for {key}: {exc}") from exc
         try:
@@ -241,7 +198,7 @@ class RunConfig:
 
     def resolved_items(self) -> list[tuple[str, str]]:
         """All keys in canonical order with their canonical string values."""
-        return [(spec.name, _render(getattr(self, spec.name))) for spec in KEY_SPECS]
+        return [(f.name, _render(getattr(self, f.name))) for f in fields(self)]
 
     def render(self) -> str:
         return "\n".join(f"{key} = {value}" for key, value in self.resolved_items()) + "\n"
@@ -265,7 +222,6 @@ class RunConfig:
             attenuation_db_per_km=self.attenuation_db_per_km,
             params=KeyRateParams(
                 error_correction_inefficiency=self.error_correction_inefficiency),
-            phase_nodes=self.phase_nodes,
         )
 
     def placement(self):
@@ -279,15 +235,16 @@ class RunConfig:
             return HomParams(
                 mean_photon_number=self.hom_mean_photon_number,
                 fwhm_ps=self.hom_fwhm_ps,
-                coincidence_window_ns=self.hom_window_ns,
                 efficiency=self.hom_efficiency,
                 dark_prob=self.hom_dark_prob,
                 overlap_ceiling=self.hom_overlap_ceiling,
                 delays_ps=self.hom_delays_ps,
-                phase_nodes=self.phase_nodes,
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+
+
+_FIELDS = {f.name: f for f in fields(RunConfig)}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -310,7 +267,3 @@ def load_config_file(path: str) -> dict[str, str]:
             return parse_config_text(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-
-
-assert {f.name for f in fields(RunConfig)} == set(_SPEC_BY_NAME), \
-    "RunConfig fields and KEY_SPECS must stay in sync"

@@ -161,8 +161,8 @@ def observed_from_table(table: YieldErrorTable, grid: IntensityGrid) -> Observed
 
 
 def observed_from_model(grid: IntensityGrid, basis: Basis, u: np.ndarray,
-                        det: DetectorModel, *, transmittances: tuple[float, float] = (1.0, 1.0),
-                        phase_nodes: int = 64) -> ObservedStats:
+                        det: DetectorModel, *,
+                        transmittances: tuple[float, float] = (1.0, 1.0)) -> ObservedStats:
     """Synthesize observables from the full coherent-pulse model.
 
     The grid holds intensities as sent; per-arm channel transmittances fold
@@ -173,7 +173,7 @@ def observed_from_model(grid: IntensityGrid, basis: Basis, u: np.ndarray,
     t_a, t_b = transmittances
     mu_a, mu_b = np.meshgrid(grid.alice, grid.bob, indexing="ij")
     gains, qbers = protocol.wcp_gains_qbers(t_a * mu_a.ravel(), t_b * mu_b.ravel(), basis,
-                                            u, det, phase_nodes=phase_nodes)
+                                            u, det)
     return ObservedStats(basis=basis, grid=grid, gains=gains.reshape(mu_a.shape),
                          qbers=qbers.reshape(mu_a.shape))
 

@@ -13,8 +13,8 @@ The figure of merit is the normalized coincidence C = PC / (P1 * P2): it is
 weak-pulse limit (phase-randomized coherent light cannot dip below 1/2, in
 contrast to the 0 reached by single photons).
 
-The coincidence window (default 2 ns) is much longer than the pulses
-(200 ps), so it is treated as fully integrating both pulses and timing
+The coincidence window is taken to be much longer than the pulses (200 ps
+by default), so it is treated as fully integrating both pulses and timing
 enters only through the mode overlap.  Residual experimental imperfections
 (pulse-shape mismatch, jitter, frequency offset) can be lumped into an
 optional overlap ceiling < 1; it is off by default.
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedCoincidenceError
-from .optics import phase_quadrature
+from .optics import PHASE_RULE
 
 HOM_CSV_HEADER = "delay_ps,p1,p2,pc,c_norm"
 
@@ -54,20 +54,16 @@ class HomParams:
 
     mean_photon_number: float = 0.1
     fwhm_ps: float = 200.0
-    coincidence_window_ns: float = 2.0
     efficiency: float = 1.0
     dark_prob: float = 0.0
     overlap_ceiling: float = 1.0
     delays_ps: tuple[float, ...] = _DEFAULT_DELAYS
-    phase_nodes: int = 64
 
     def __post_init__(self):
         if self.mean_photon_number < 0:
             raise ValueError("mean photon number must be >= 0")
         if self.fwhm_ps <= 0:
             raise ValueError("fwhm_ps must be > 0")
-        if self.coincidence_window_ns <= 0:
-            raise ValueError("coincidence window must be > 0")
         if not (0.0 <= self.efficiency <= 1.0):
             raise ValueError("efficiency must be in [0, 1]")
         if not (0.0 <= self.dark_prob < 1.0):
@@ -101,7 +97,7 @@ def coincidence_point(tau_ps: float, params: HomParams) -> HomPoint:
     """
     mu = params.mean_photon_number
     overlap = params.overlap_ceiling * mode_overlap(tau_ps, params.fwhm_ps)
-    phases, weights = phase_quadrature(params.phase_nodes)
+    phases, weights = PHASE_RULE
     cos = np.cos(phases)
     i1 = mu * (1.0 + overlap * cos)
     i2 = mu * (1.0 - overlap * cos)

@@ -150,7 +150,6 @@ class SystemModel:
     detector: DetectorModel = DetectorModel()
     attenuation_db_per_km: float = 0.2
     params: KeyRateParams = field(default_factory=KeyRateParams)
-    phase_nodes: int = 64
 
     @cached_property
     def transfer_matrix(self) -> np.ndarray:
@@ -193,8 +192,7 @@ def _evaluate(system: SystemModel, terms: _DistanceTerms, mus_a, mus_b) -> list[
     """Every term of the rate bound for a vector of intensity pairs at one distance."""
     mus_a, mus_b = np.asarray(mus_a, dtype=float), np.asarray(mus_b, dtype=float)
     gains, qbers = wcp_gains_qbers(terms.t_a * mus_a, terms.t_b * mus_b, Basis.RECT,
-                                   system.transfer_matrix, system.detector,
-                                   phase_nodes=system.phase_nodes)
+                                   system.transfer_matrix, system.detector)
     # No diagonal-basis successes at all: the rate is zero regardless.
     e11_for_rate = 0.0 if math.isnan(terms.e11) else terms.e11
     points = []
@@ -272,6 +270,15 @@ def optimize_intensity(system: SystemModel, distance_km: float, placement="midpo
     return min((p for p in evaluated if p.key_rate == best_rate), key=lambda p: p.mu_a)
 
 
+def _rate_point(system: SystemModel, distance_km: float, placement, *, grid,
+                fixed_intensities: tuple[float, float] | None) -> ScanPoint:
+    """The rate at one distance, at the fixed intensity pair if given, else optimized."""
+    if fixed_intensities is None:
+        return optimize_intensity(system, distance_km, placement, grid=grid)
+    mu_a, mu_b = fixed_intensities
+    return evaluate_point(system, distance_km, mu_a, mu_b, placement)
+
+
 def distance_scan(system: SystemModel, distances, placement="midpoint", *,
                   fixed_intensities: tuple[float, float] | None = None,
                   grid=None) -> list[ScanPoint]:
@@ -283,14 +290,8 @@ def distance_scan(system: SystemModel, distances, placement="midpoint", *,
         raise ValueError("distances must be >= 0")
     if any(b < a for a, b in zip(ds, ds[1:])):
         raise ValueError("distances must be ascending")
-    points = []
-    for d in ds:
-        if fixed_intensities is None:
-            points.append(optimize_intensity(system, d, placement, grid=grid))
-        else:
-            mu_a, mu_b = fixed_intensities
-            points.append(evaluate_point(system, d, mu_a, mu_b, placement))
-    return points
+    return [_rate_point(system, d, placement, grid=grid, fixed_intensities=fixed_intensities)
+            for d in ds]
 
 
 def find_cutoff(system: SystemModel, placement="midpoint", *, lo_km: float = 0.0,
@@ -307,10 +308,8 @@ def find_cutoff(system: SystemModel, placement="midpoint", *, lo_km: float = 0.0
     stays positive up to 20000 km.
     """
     def positive(d: float) -> bool:
-        if fixed_intensities is not None:
-            mu_a, mu_b = fixed_intensities
-            return evaluate_point(system, d, mu_a, mu_b, placement).key_rate > 0.0
-        return optimize_intensity(system, d, placement, grid=grid).key_rate > 0.0
+        return _rate_point(system, d, placement, grid=grid,
+                           fixed_intensities=fixed_intensities).key_rate > 0.0
 
     if not positive(lo_km):
         return lo_km

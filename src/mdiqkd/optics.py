@@ -286,6 +286,11 @@ def phase_quadrature(n_nodes: int = 64) -> tuple[np.ndarray, np.ndarray]:
     return _readonly(phases), _readonly(weights)
 
 
+# The 64-node rule of every phase average, here and in hom: (phases, weights).
+PHASE_RULE = phase_quadrature(64)
+_PHASE_ROTATION = _readonly(np.exp(1j * PHASE_RULE[0]))
+
+
 def _pattern_probabilities(p_click: np.ndarray) -> np.ndarray:
     """Probabilities of all 16 click patterns given per-detector click probs.
 
@@ -312,22 +317,12 @@ def _outcome_dict(values: np.ndarray) -> dict[BsmOutcome, float]:
 _MU_CHUNK = 4
 
 
-@lru_cache(maxsize=8)
-def _phase_factors(n_nodes: int, offset: float) -> tuple[np.ndarray, np.ndarray]:
-    """Relative-phase factors e^{i phi} at the quadrature nodes, and the weights."""
-    phases, weights = phase_quadrature(n_nodes)
-    return _readonly(np.exp(1j * (phases + offset))), weights
-
-
 def coherent_success_probs(
     mu_a,
     mu_b,
     pairs,
     u: np.ndarray,
     det: DetectorModel,
-    *,
-    phase_nodes: int = 64,
-    phase_offset: float = 0.0,
 ) -> np.ndarray:
     """Singlet and triplet probabilities of phase-randomized coherent pulses.
 
@@ -342,8 +337,8 @@ def coherent_success_probs(
     p = 1 - (1-d) exp(-eta |alpha|^2).  Only the four success patterns are
     formed: with q = 1 - p per detector (D1H, D1V, D2H, D2V),
     psi- = p0 q1 q2 p3 + q0 p1 p2 q3 and psi+ = p0 p1 q2 q3 + q0 q1 p2 p3.
-    The result is averaged over phi uniform on [0, 2pi) by Gauss-Legendre
-    quadrature.  Only the relative phase matters, so averaging over one
+    The result is averaged over phi uniform on [0, 2pi) by the Gauss-Legendre
+    rule PHASE_RULE.  Only the relative phase matters, so averaging over one
     phase is equivalent to independent randomization of both.
     """
     assert_unitary(u)
@@ -358,7 +353,7 @@ def coherent_success_probs(
     for k, (pol_a, pol_b) in enumerate(pairs):
         inputs[0, 0, k, 0:2] = pol_a.jones
         inputs[1, 0, k, 2:4] = pol_b.jones
-    rotation, weights = _phase_factors(phase_nodes, phase_offset)
+    weights = PHASE_RULE[1]
     # Detector mode before quadrature node, so the inner loops run over nodes.
     darks, etas = det.darks[:, None], det.etas[:, None]
 
@@ -370,7 +365,7 @@ def coherent_success_probs(
         # intensity and pair, here and in the phase average below, so an
         # entry does not depend on the batch around it.
         a_out, b_out = np.matmul(u, amplitudes[..., None])
-        intensities = np.abs(a_out + rotation * b_out) ** 2
+        intensities = np.abs(a_out + _PHASE_ROTATION * b_out) ** 2
 
         p = 1.0 - (1.0 - darks) * np.exp(-etas * intensities)
         q = 1.0 - p
@@ -388,9 +383,6 @@ def coherent_outcome_probs(
     bob: SourcePulse,
     u: np.ndarray,
     det: DetectorModel,
-    *,
-    phase_nodes: int = 64,
-    phase_offset: float = 0.0,
 ) -> dict[BsmOutcome, float]:
     """Outcome probabilities for two phase-randomized coherent pulses.
 
@@ -399,8 +391,7 @@ def coherent_outcome_probs(
     """
     psi_minus, psi_plus = coherent_success_probs(
         alice.mean_photon_number, bob.mean_photon_number,
-        ((alice.polarization, bob.polarization),), u, det,
-        phase_nodes=phase_nodes, phase_offset=phase_offset)[0, 0].tolist()
+        ((alice.polarization, bob.polarization),), u, det)[0, 0].tolist()
     return {
         BsmOutcome.PSI_MINUS: psi_minus,
         BsmOutcome.PSI_PLUS: psi_plus,
@@ -452,6 +443,7 @@ def fock_outcome_probs(
 
     The n_max guard rejects photon numbers whose expansion would be large;
     raise it explicitly for bigger inputs (cost grows ~ (n+3 choose 3)^2).
+    n + m may not exceed the factorial table, _MAX_FACT - 1 photons.
     """
     if not (isinstance(n, (int, np.integer)) and isinstance(m, (int, np.integer))):
         raise ValueError("photon counts must be integers")
@@ -460,6 +452,10 @@ def fock_outcome_probs(
     if n > n_max or m > n_max:
         raise ValueError(
             f"photon count ({n}, {m}) exceeds n_max={n_max}; pass a larger n_max to allow it")
+    if n + m >= _MAX_FACT:
+        raise ValueError(
+            f"total photon count n+m = {n + m} exceeds {_MAX_FACT - 1}, "
+            f"the largest the expansion supports")
     assert_unitary(u)
 
     a_in = np.zeros(N_MODES, dtype=complex)

@@ -213,8 +213,8 @@ def build_yield_error_table(basis: Basis, u: np.ndarray, det: DetectorModel,
     return YieldErrorTable(basis=basis, n_max=n_max, yields=yields, errors=errors)
 
 
-def wcp_gains_qbers(mu_a, mu_b, basis: Basis, u: np.ndarray, det: DetectorModel,
-                    *, phase_nodes: int = 64) -> tuple[np.ndarray, np.ndarray]:
+def wcp_gains_qbers(mu_a, mu_b, basis: Basis, u: np.ndarray,
+                    det: DetectorModel) -> tuple[np.ndarray, np.ndarray]:
     """Gains and error rates of weak coherent pulses over an intensity axis.
 
     mu_a and mu_b are two scalars or two 1-d arrays of one length; every
@@ -222,7 +222,7 @@ def wcp_gains_qbers(mu_a, mu_b, basis: Basis, u: np.ndarray, det: DetectorModel,
     where the gain is zero.  All four bit pairs go through one coherent_success_probs call.
     """
     pairs = _bit_pairs(basis)
-    probs = coherent_success_probs(mu_a, mu_b, pairs, u, det, phase_nodes=phase_nodes)
+    probs = coherent_success_probs(mu_a, mu_b, pairs, u, det)
     # Running sums over the terms in pair-then-outcome order; accumulate adds
     # one term at a time, so an entry does not depend on the batch around it.
     terms = probs.reshape(-1, 2 * len(pairs))
@@ -235,14 +235,14 @@ def wcp_gains_qbers(mu_a, mu_b, basis: Basis, u: np.ndarray, det: DetectorModel,
 
 
 def wcp_observed_stats(mu_a: float, mu_b: float, basis: Basis, u: np.ndarray,
-                       det: DetectorModel, *, phase_nodes: int = 64) -> AggregateStats:
+                       det: DetectorModel) -> AggregateStats:
     """Gain and error rate for weak coherent pulses of the given intensities.
 
     This is the synthetic measurement record fed to the decoy estimator:
     the same averaging and error classification as the photon-number tables,
     evaluated on the analytic coherent-pulse model.
     """
-    gains, qbers = wcp_gains_qbers(mu_a, mu_b, basis, u, det, phase_nodes=phase_nodes)
+    gains, qbers = wcp_gains_qbers(mu_a, mu_b, basis, u, det)
     gain = float(gains[0])
     if gain <= 0.0:
         return AggregateStats(basis=basis, gain=0.0, qber=None)

@@ -1,8 +1,16 @@
+import contextlib
+import io
 import json
+import re
+import tempfile
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdiqkd.cli import main
+from mdiqkd.config import RunConfig
 
 FAST = ["--opt-grid-points", "12", "--distances-km", "0,100,200"]
 
@@ -54,18 +62,6 @@ class TestKeyrateCommand:
         assert run(args + ["--out", str(b)], capsys)[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_embedded_config_reproduces_output(self, tmp_path, capsys):
-        first = tmp_path / "first.csv"
-        args = ["keyrate", "--opt-grid-points", "10", "--distances-km", "0,25"]
-        assert run(args + ["--out", str(first)], capsys)[0] == 0
-        embedded = "\n".join(l[2:] for l in first.read_text().splitlines()
-                             if l.startswith("# "))
-        cfg = tmp_path / "replay.cfg"
-        cfg.write_text(embedded + "\n")
-        second = tmp_path / "second.csv"
-        assert run(["keyrate", "--config", str(cfg), "--out", str(second)], capsys)[0] == 0
-        assert first.read_bytes() == second.read_bytes()
-
     def test_flags_override_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("misalignment = 0.5\n")
@@ -85,6 +81,13 @@ class TestKeyrateCommand:
         code, _, stderr = run(["keyrate", "--config", str(cfg)], capsys)
         assert code == 2
         assert "not_a_key" in json.loads(stderr)["error"]["message"]
+
+    def test_non_finite_grid_bound_rejected(self, tmp_path, capsys):
+        code, _, stderr = run(["keyrate", "--opt-grid-max=inf",
+                               "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 2
+        message = json.loads(stderr)["error"]["message"]
+        assert message == "bad value for opt_grid_max: expected a finite number, got 'inf'"
 
     def test_relay_at_alice_mode(self, tmp_path, capsys):
         out = tmp_path / "alice.csv"
@@ -198,6 +201,12 @@ class TestDecoyCommand:
         assert data["diagnostics"]["clamp_events"] == 0
         assert "y11_estimated" in stdout
 
+    def test_round_trip_without_y11_rejected(self, tmp_path, capsys):
+        code, _, stderr = run(["decoy", "--estimation-n-max=0",
+                               "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 2
+        assert "estimation_n_max >= 1" in json.loads(stderr)["error"]["message"]
+
     def test_malformed_external_observations(self, tmp_path, capsys):
         src = tmp_path / "bad.json"
         src.write_text("{\"basis\": \"rect\"}")
@@ -229,6 +238,17 @@ class TestBsmCommand:
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         for row in rows[1:]:
             assert float(row.split(",")[4]) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("photons_a,photons_b", [(39, 1), (40, 0)])
+    def test_photon_total_beyond_factorial_table_rejected(self, tmp_path, capsys,
+                                                          photons_a, photons_b):
+        out = tmp_path / "bsm.csv"
+        code, _, stderr = run(["bsm", f"--bsm-photons-a={photons_a}",
+                               f"--bsm-photons-b={photons_b}", "--out", str(out)], capsys)
+        assert code == 2
+        err = json.loads(stderr)["error"]
+        assert err["type"] == "ValueError" and "n+m = 40" in err["message"]
+        assert not out.exists()
 
     def test_coherent_mode(self, tmp_path, capsys):
         out = tmp_path / "bsm_coh.json"
@@ -262,3 +282,137 @@ class TestHomCommand:
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert rows[0] == "delay_ps,p1,p2,pc,c_norm"
         assert len(rows) == 2
+
+    def test_nan_delay_rejected(self, tmp_path, capsys):
+        out = tmp_path / "hom.csv"
+        code, stdout, stderr = run(["hom", "--hom-delays-ps=nan", "--out", str(out)], capsys)
+        assert code == 2
+        message = json.loads(stderr)["error"]["message"]
+        assert message == "bad value for hom_delays_ps: expected a finite number, got 'nan'"
+        assert stdout == "" and not out.exists()
+
+
+REPLAY_RUNS = {
+    "keyrate": ["keyrate", "--opt-grid-points", "10", "--distances-km", "0,25"],
+    "bsm": ["bsm", "--bsm-photons-a", "2", "--misalignment", "0.03"],
+    "hom": ["hom", "--hom-delays-ps=-150,0,37.5", "--hom-dark-prob", "1e-5"],
+    "decoy": ["decoy", "--estimation-n-max", "2", "--decoy-distance-km", "30"],
+}
+
+# Every config key, grouped under the cheapest run that reads it.
+KEY_GROUPS = (
+    (["bsm"], ("detector_efficiency", "dark_count_prob", "misalignment", "bsm_input",
+               "bsm_photons_a", "bsm_photons_b", "format")),
+    (["bsm", "--bsm-input=coherent"], ("bsm_mu_a", "bsm_mu_b")),
+    (["hom", "--hom-delays-ps=0,500"], (
+        "hom_mean_photon_number", "hom_fwhm_ps", "hom_efficiency", "hom_dark_prob",
+        "hom_overlap_ceiling", "hom_delays_ps")),
+    (["decoy"], ("grid_alice", "grid_bob", "estimation_n_max", "decoy_distance_km",
+                 "decoy_synthesis")),
+    (["keyrate", "--opt-grid-points=8", "--distances-km=0,100"], (
+        "attenuation_db_per_km", "relay_position", "arm_length_a_km", "arm_length_b_km",
+        "error_correction_inefficiency", "distances_km", "intensity_mode", "opt_grid_min",
+        "opt_grid_max", "opt_grid_points")),
+    (["keyrate", "--intensity-mode=fixed", "--distances-km=0,100"], (
+        "fixed_mu_a", "fixed_mu_b")),
+)
+GROUP_OF = {key: group for group in KEY_GROUPS for key in group[1]}
+
+VALID_VALUES = {
+    "detector_efficiency": ("0.5", "1"),
+    "dark_count_prob": ("1e-6", "0.5"),
+    "misalignment": ("0.1", "1"),
+    "bsm_input": ("fock", "coherent"),
+    "bsm_photons_a": ("2",),
+    "bsm_photons_b": ("2",),
+    "format": ("csv", "json"),
+    "bsm_mu_a": ("0.3", "2"),
+    "bsm_mu_b": ("0.3", "2"),
+    "hom_mean_photon_number": ("0.3",),
+    "hom_fwhm_ps": ("100",),
+    "hom_efficiency": ("0.5",),
+    "hom_dark_prob": ("1e-5",),
+    "hom_overlap_ceiling": ("0.9",),
+    "hom_delays_ps": ("-100,0,100", "100,-100"),
+    "grid_alice": ("0.05,0.1,0.2,0.3,0.4,0.5,0.6", "0.1,0.2", "0.3,0.1"),
+    "grid_bob": ("0.05,0.1,0.2,0.3,0.4,0.5,0.6", "0.1,0.2", "0.3,0.1"),
+    "estimation_n_max": ("1", "2", "5"),
+    "decoy_distance_km": ("50", "300"),
+    "decoy_synthesis": ("table", "model"),
+    "attenuation_db_per_km": ("0.2", "1"),
+    "relay_position": ("midpoint", "at-alice", "custom"),
+    "arm_length_a_km": ("1", "3"),
+    "arm_length_b_km": ("1", "3"),
+    "error_correction_inefficiency": ("1.16", "2"),
+    "distances_km": ("0,50", "100", "50,0"),
+    "intensity_mode": ("optimize", "fixed"),
+    "opt_grid_min": ("0.01", "0.5"),
+    "opt_grid_max": ("0.5", "2"),
+    "opt_grid_points": ("1", "12"),
+    "fixed_mu_a": ("0.3", "0.05"),
+    "fixed_mu_b": ("0.3", "0.05"),
+}
+INVALID_VALUES = ("", "-1", "0", "nan", "inf", "x")
+PHOTON_COUNTS = ("bsm_photons_a", "bsm_photons_b")
+
+
+def pool(key):
+    return VALID_VALUES[key] + INVALID_VALUES + (("40",) if key in PHOTON_COUNTS else ())
+
+
+class TestConfig:
+    @pytest.mark.parametrize("command", sorted(REPLAY_RUNS))
+    def test_embedded_config_reproduces_output(self, tmp_path, capsys, command):
+        first = tmp_path / "first.csv"
+        assert run(REPLAY_RUNS[command] + ["--out", str(first)], capsys)[0] == 0
+        embedded = "\n".join(l[2:] for l in first.read_text().splitlines()
+                             if l.startswith("# "))
+        cfg = tmp_path / "replay.cfg"
+        cfg.write_text(embedded + "\n")
+        second = tmp_path / "second.csv"
+        assert run([command, "--config", str(cfg), "--out", str(second)], capsys)[0] == 0
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("key", ["phase_nodes", "synthesis_n_max", "hom_window_ns"])
+    def test_removed_keys_rejected(self, tmp_path, capsys, key):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"{key} = 64\n")
+        code, _, stderr = run(["hom", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert json.loads(stderr)["error"]["message"] == \
+            f"unknown configuration key '{key}'"
+
+    def test_help_lists_every_key(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["keyrate", "--help"])
+        flags = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.MULTILINE)
+        keys = [f"--{f.name.replace('_', '-')}" for f in fields(RunConfig)]
+        assert len(keys) == 32
+        assert flags == ["--config", "--out"] + keys
+
+    def test_groups_cover_every_key_once(self):
+        grouped = [key for _, keys in KEY_GROUPS for key in keys]
+        assert sorted(grouped) == sorted(f.name for f in fields(RunConfig))
+        assert set(VALID_VALUES) == set(grouped)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_any_key_value_exits_cleanly(self, data):
+        # One key, and up to two more that the same run reads.
+        key = data.draw(st.sampled_from(sorted(GROUP_OF)))
+        base, keys = GROUP_OF[key]
+        drawn = [key] + data.draw(st.lists(st.sampled_from(keys).filter(lambda k: k != key),
+                                           max_size=2, unique=True))
+        flags = [f"--{k.replace('_', '-')}={data.draw(st.sampled_from(pool(k)))}"
+                 for k in drawn]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as workdir:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(base + flags + [f"--out={workdir}/result"])
+        assert code in (0, 2, 3)
+        assert "nan" not in stdout.getvalue()
+        if code != 0:
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1
+            error = json.loads(lines[0])["error"]
+            assert error["code"] == code and error["message"]

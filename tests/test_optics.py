@@ -264,14 +264,16 @@ class TestCoherentModel:
         assert sum(p.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_phase_average_invariances(self):
-        args = (SourcePulse(Polarization.D, 0.2), SourcePulse(Polarization.A, 0.15),
-                U_REF, REF_DET)
-        base = coherent_outcome_probs(*args)
-        doubled = coherent_outcome_probs(*args, phase_nodes=128)
-        shifted = coherent_outcome_probs(*args, phase_offset=1.2345)
-        for outcome in BsmOutcome:
-            assert abs(base[outcome] - doubled[outcome]) < 1e-10
-            assert abs(base[outcome] - shifted[outcome]) < 1e-10
+        # The 64-node rule against a 128-point uniform average on a shifted
+        # grid: twice the nodes and a phase offset must not move a result.
+        base = coherent_outcome_probs(SourcePulse(Polarization.D, 0.2),
+                                      SourcePulse(Polarization.A, 0.15), U_REF, REF_DET)
+        uniform = (1.2345 + 2.0 * math.pi * np.arange(128) / 128, np.full(128, 1.0 / 128))
+        ref = sixteen_pattern_reference(0.2, Polarization.D, 0.15, Polarization.A,
+                                        U_REF, REF_DET, rule=uniform)
+        for k, outcome in enumerate((BsmOutcome.PSI_MINUS, BsmOutcome.PSI_PLUS,
+                                     BsmOutcome.FAIL)):
+            assert abs(base[outcome] - ref[k]) < 1e-10
 
     def test_rejects_non_unitary(self):
         bad = np.eye(4, dtype=complex) * (1 + 1e-6)
@@ -299,13 +301,16 @@ class TestCoherentModel:
 ALL_PAIRS = tuple(itertools.product(Polarization, repeat=2))
 
 
-def sixteen_pattern_reference(mu_a, pol_a, mu_b, pol_b, u, det):
-    """Phase average of all 16 click patterns, classified by _class_probs."""
+def sixteen_pattern_reference(mu_a, pol_a, mu_b, pol_b, u, det, rule=None):
+    """Phase average of all 16 click patterns, classified by _class_probs.
+
+    rule is a (phases, weights) pair; the default is the 64-node Gauss-Legendre rule.
+    """
     a_in = np.zeros(4, dtype=complex)
     a_in[0:2] = math.sqrt(mu_a) * pol_a.jones
     b_in = np.zeros(4, dtype=complex)
     b_in[2:4] = math.sqrt(mu_b) * pol_b.jones
-    phases, weights = phase_quadrature(64)
+    phases, weights = phase_quadrature(64) if rule is None else rule
     beta = (u @ a_in)[None, :] + np.exp(1j * phases)[:, None] * (u @ b_in)[None, :]
     p_click = 1.0 - (1.0 - det.darks) * np.exp(-det.etas * np.abs(beta) ** 2)
     return weights @ _class_probs(p_click)
