@@ -23,7 +23,6 @@ from .optics import (
     fock_outcome_probs,
 )
 from .protocol import (
-    AggregateStats,
     Basis,
     SiftDecision,
     YieldErrorTable,
@@ -32,17 +31,13 @@ from .protocol import (
     loss_adjusted_table,
     sift,
     wcp_gains_qbers,
-    wcp_observed_stats,
 )
 from .decoy import (
-    DecoyIntermediates,
     EstimationResult,
     IntensityGrid,
     InversionResult,
     ObservedStats,
-    estimate_errors,
     estimate_table,
-    estimate_yields,
     invert_poisson,
     observed_from_model,
     observed_from_table,
@@ -56,6 +51,7 @@ from .keyrate import (
     KeyRateParams,
     ScanPoint,
     SystemModel,
+    arm_transmittances,
     binary_entropy,
     distance_scan,
     evaluate_point,

@@ -205,10 +205,7 @@ def cmd_decoy(args: argparse.Namespace, config: RunConfig) -> int:
         raise ConfigError("the decoy round trip reports Y11 and e11, so it needs "
                           "estimation_n_max >= 1")
     system = config.system()
-    la, lb = keyrate.arm_lengths(config.decoy_distance_km, config.placement())
-    channel = keyrate.ChannelModel(length_a_km=la, length_b_km=lb,
-                                   attenuation_db_per_km=config.attenuation_db_per_km)
-    ta, tb = channel.transmittance_a, channel.transmittance_b
+    ta, tb = keyrate.arm_transmittances(system, config.decoy_distance_km, config.placement())
     grid = decoy.IntensityGrid(alice=config.grid_alice, bob=config.grid_bob)
     n_max = config.estimation_n_max
 
@@ -302,8 +299,7 @@ def cmd_bsm(args: argparse.Namespace, config: RunConfig) -> int:
         for pol_b in _POL_ORDER:
             if config.bsm_input == "fock":
                 probs = fock_outcome_probs(
-                    config.bsm_photons_a, pol_a, config.bsm_photons_b, pol_b, u, det,
-                    n_max=max(config.bsm_photons_a, config.bsm_photons_b, 3))
+                    config.bsm_photons_a, pol_a, config.bsm_photons_b, pol_b, u, det)
             else:
                 probs = coherent_outcome_probs(
                     SourcePulse(pol_a, config.bsm_mu_a), SourcePulse(pol_b, config.bsm_mu_b),

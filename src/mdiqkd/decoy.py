@@ -4,12 +4,13 @@ The observables are gains Q[i][j] and error rates E[i][j] over a grid of
 source intensities.  Since phase-randomized coherent pulses are Poisson
 mixtures of photon-number states, the observables are Poisson-weighted
 linear combinations of the per-photon-number yields, and a truncated linear
-inversion recovers them: first invert over Alice's intensity index for each
-of Bob's settings (giving marginal yields), then invert the marginals over
-Bob's index.  Error rates follow the same route applied to the products
-Q*E, divided by the recovered yields at the end.
+inversion recovers them: first invert over Alice's intensity index for all
+of Bob's settings at once (giving marginal yields), then invert the
+marginals over Bob's index.  Error rates follow the same route applied to
+the products Q*E, divided by the recovered yields at the end.
 
-One least-squares kernel serves every stage.  Nonnegativity is enforced by
+One least-squares kernel serves every stage, and each stage is one call of
+it: the design matrix and its condition number are shared by the columns.  Nonnegativity is enforced by
 post-hoc clamping with a logged event list rather than constrained solving;
 on data consistent with a valid table the clamp log stays empty.
 """
@@ -31,7 +32,8 @@ from . import protocol
 logger = logging.getLogger(__name__)
 
 DEFAULT_INTENSITIES = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
-DEFAULT_MAX_CONDITION = 1e10
+# Design matrices with a larger condition number are rejected.
+MAX_CONDITION = 1e10
 
 # Estimated entries below this yield are reported as undefined rather than
 # divided through (guards e = W/Y).
@@ -185,33 +187,42 @@ class InversionResult:
     condition: float
 
 
-def invert_poisson(values, intensities, n_max: int, *,
-                   max_condition: float = DEFAULT_MAX_CONDITION) -> InversionResult:
-    """Solve values_i = sum_n exp(-mu_i) mu_i^n / n! * c_n for n <= n_max.
+def invert_poisson(values, intensities, n_max: int) -> InversionResult:
+    """Solve values[i] = sum_n exp(-mu_i) mu_i^n / n! * c[n] for n <= n_max.
 
-    Least squares over the (possibly overdetermined) system; this single
-    kernel serves both stages of the yield and error estimation.  Raises
-    ValueError when fewer than n_max + 1 intensities are supplied and
-    InversionError when the design matrix condition number exceeds
-    max_condition.
+    values is 1-d, or 2-d with one right-hand side per column; the
+    coefficients have the same layout, with n_max + 1 rows.  The design
+    matrix and its condition number are computed once for all columns, and
+    each column is a least-squares solve of the (possibly overdetermined)
+    system; residual is the largest column misfit.  Raises ValueError when
+    fewer than n_max + 1 intensities are supplied and InversionError when
+    the condition number exceeds MAX_CONDITION.
     """
     mus = np.asarray(intensities, dtype=float)
     vals = np.asarray(values, dtype=float)
-    if mus.ndim != 1 or vals.shape != mus.shape:
-        raise ValueError("values and intensities must be 1-d and the same length")
+    if mus.ndim != 1 or vals.ndim not in (1, 2) or vals.shape[0] != len(mus):
+        raise ValueError("intensities must be 1-d and values 1-d or 2-d, "
+                         "with one row per intensity")
     if len(mus) < n_max + 1:
         raise ValueError(
             f"need at least {n_max + 1} intensities to resolve photon numbers 0..{n_max}, "
             f"got {len(mus)}")
     design = np.stack([poisson_weights(mu, n_max) for mu in mus])
     condition = float(np.linalg.cond(design))
-    if not math.isfinite(condition) or condition > max_condition:
+    if not math.isfinite(condition) or condition > MAX_CONDITION:
         raise InversionError(
             f"decoy design matrix is ill-conditioned (condition {condition:.3e} "
-            f"> {max_condition:.1e})", condition=condition)
-    coeffs, *_ = np.linalg.lstsq(design, vals, rcond=None)
-    residual = float(np.linalg.norm(design @ coeffs - vals))
-    return InversionResult(coefficients=coeffs, residual=residual, condition=condition)
+            f"> {MAX_CONDITION:.1e})", condition=condition)
+    columns = vals.reshape(len(mus), -1)
+    coeffs = np.empty((n_max + 1, columns.shape[1]))
+    residual = 0.0
+    # One solve per column: a multi-column lstsq rounds differently.
+    for k in range(columns.shape[1]):
+        c, *_ = np.linalg.lstsq(design, columns[:, k], rcond=None)
+        coeffs[:, k] = c
+        residual = max(residual, float(np.linalg.norm(design @ c - columns[:, k])))
+    return InversionResult(coefficients=coeffs.reshape((n_max + 1,) + vals.shape[1:]),
+                           residual=residual, condition=condition)
 
 
 @dataclass(frozen=True)
@@ -220,19 +231,6 @@ class ClampEvent:
     stage: str
     index: tuple[int, ...]
     raw: float
-
-
-@dataclass(frozen=True)
-class DecoyIntermediates:
-    """Stage-1 coefficients: one column of marginals per Bob setting.
-
-    For the yield path row n holds the marginal yields Y_n^j; for the error
-    path it holds the error-weighted marginals W_n^j.  Nonnegative after the
-    clamping stage.
-    """
-
-    quantity: str
-    marginals: np.ndarray
 
 
 @dataclass
@@ -247,7 +245,6 @@ class EstimationResult:
     clamp_events: list[ClampEvent] = field(default_factory=list)
     max_residual: float = 0.0
     max_condition: float = 0.0
-    intermediates: list[DecoyIntermediates] = field(default_factory=list)
 
 
 def _clamp(values: np.ndarray, lo, hi, quantity: str, stage: str,
@@ -262,90 +259,44 @@ def _clamp(values: np.ndarray, lo, hi, quantity: str, stage: str,
     return np.clip(values, lo_arr, hi_arr)
 
 
-def _two_stage_inversion(
-        matrix: np.ndarray, grid: IntensityGrid, n_max: int, quantity: str,
-        events: list[ClampEvent], max_condition: float,
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Invert over Alice's index per Bob setting, then over Bob's index per n."""
-    n_bob = len(grid.bob)
-    marginals = np.empty((n_max + 1, n_bob))
-    worst_residual = 0.0
-    worst_condition = 0.0
-    for j in range(n_bob):
-        try:
-            res = invert_poisson(matrix[:, j], grid.alice, n_max,
-                                 max_condition=max_condition)
-        except InversionError as exc:
-            raise InversionError(f"{exc} (stage alice-inversion, bob index {j})",
-                                 condition=exc.condition, stage="alice-inversion",
-                                 index=j) from exc
-        marginals[:, j] = res.coefficients
-        worst_residual = max(worst_residual, res.residual)
-        worst_condition = max(worst_condition, res.condition)
-    marginals = _clamp(marginals, 0.0, 1.0, f"marginal_{quantity}", "alice-inversion", events)
-
-    table = np.empty((n_max + 1, n_max + 1))
-    for n in range(n_max + 1):
-        try:
-            res = invert_poisson(marginals[n, :], grid.bob, n_max,
-                                 max_condition=max_condition)
-        except InversionError as exc:
-            raise InversionError(f"{exc} (stage bob-inversion, photon number {n})",
-                                 condition=exc.condition, stage="bob-inversion",
-                                 index=n) from exc
-        table[n, :] = res.coefficients
-        worst_residual = max(worst_residual, res.residual)
-        worst_condition = max(worst_condition, res.condition)
-    return table, marginals, worst_residual, worst_condition
+def _solve_stage(values: np.ndarray, intensities, n_max: int, stage: str) -> InversionResult:
+    try:
+        return invert_poisson(values, intensities, n_max)
+    except InversionError as exc:
+        raise InversionError(f"{exc} (stage {stage})", condition=exc.condition,
+                             stage=stage) from exc
 
 
-def estimate_yields(obs: ObservedStats, n_max: int = 4, *,
-                    max_condition: float = DEFAULT_MAX_CONDITION) -> EstimationResult:
-    """Recover Y[n][m] for n, m <= n_max from observed gains."""
-    events: list[ClampEvent] = []
-    yields, marginals, residual, condition = _two_stage_inversion(
-        obs.gains, obs.grid, n_max, "yield", events, max_condition)
-    yields = _clamp(yields, 0.0, 1.0, "yield", "bob-inversion", events)
-    table = YieldErrorTable(basis=obs.basis, n_max=n_max, yields=yields,
-                            errors=np.full((n_max + 1, n_max + 1), np.nan))
-    return EstimationResult(table=table, clamp_events=events,
-                            max_residual=residual, max_condition=condition,
-                            intermediates=[DecoyIntermediates("yield", marginals)])
+def estimate_table(obs: ObservedStats, n_max: int = 4) -> EstimationResult:
+    """Recover Y[n][m] and e[n][m] for n, m <= n_max from the observables.
 
-
-def estimate_errors(obs: ObservedStats, yields: YieldErrorTable, *,
-                    max_condition: float = DEFAULT_MAX_CONDITION) -> EstimationResult:
-    """Fill in e[n][m] given already-estimated yields.
-
-    Inverts the products Q*E to the error-weighted yields Y*e, then divides
+    The gains Q give the yields and the products Q*E the error-weighted
+    yields Y*e, each in two solves: one over Alice's intensities for every
+    Bob setting (the marginals, clamped to [0, 1]), then one over Bob's
+    intensities for every photon number n.  The error rates are Y*e divided
     by Y where Y > YIELD_EPS; smaller yields give undefined (NaN) entries,
     never a 0/0.
     """
-    n_max = yields.n_max
     events: list[ClampEvent] = []
-    weighted, marginals, residual, condition = _two_stage_inversion(
-        obs.error_weighted_gains(), obs.grid, n_max, "error_weight", events, max_condition)
-    weighted = _clamp(weighted, 0.0, yields.yields, "error_weight", "bob-inversion", events)
-    defined = yields.yields > YIELD_EPS
-    errors = np.where(defined, weighted / np.where(defined, yields.yields, 1.0), np.nan)
-    table = YieldErrorTable(basis=obs.basis, n_max=n_max, yields=yields.yields, errors=errors)
+    solves: list[InversionResult] = []
+
+    def two_stage(matrix: np.ndarray, quantity: str) -> np.ndarray:
+        alice = _solve_stage(matrix, obs.grid.alice, n_max, "alice-inversion")
+        marginals = _clamp(alice.coefficients, 0.0, 1.0, f"marginal_{quantity}",
+                           "alice-inversion", events)
+        bob = _solve_stage(marginals.T, obs.grid.bob, n_max, "bob-inversion")
+        solves.extend((alice, bob))
+        return np.ascontiguousarray(bob.coefficients.T)
+
+    yields = _clamp(two_stage(obs.gains, "yield"), 0.0, 1.0, "yield", "bob-inversion", events)
+    weighted = _clamp(two_stage(obs.error_weighted_gains(), "error_weight"), 0.0, yields,
+                      "error_weight", "bob-inversion", events)
+    defined = yields > YIELD_EPS
+    errors = np.where(defined, weighted / np.where(defined, yields, 1.0), np.nan)
+    table = YieldErrorTable(basis=obs.basis, n_max=n_max, yields=yields, errors=errors)
     return EstimationResult(table=table, clamp_events=events,
-                            max_residual=residual, max_condition=condition,
-                            intermediates=[DecoyIntermediates("error_weight", marginals)])
-
-
-def estimate_table(obs: ObservedStats, n_max: int = 4, *,
-                   max_condition: float = DEFAULT_MAX_CONDITION) -> EstimationResult:
-    """Run both estimation stages and merge diagnostics."""
-    y_res = estimate_yields(obs, n_max, max_condition=max_condition)
-    e_res = estimate_errors(obs, y_res.table, max_condition=max_condition)
-    return EstimationResult(
-        table=e_res.table,
-        clamp_events=y_res.clamp_events + e_res.clamp_events,
-        max_residual=max(y_res.max_residual, e_res.max_residual),
-        max_condition=max(y_res.max_condition, e_res.max_condition),
-        intermediates=y_res.intermediates + e_res.intermediates,
-    )
+                            max_residual=max(s.residual for s in solves),
+                            max_condition=max(s.condition for s in solves))
 
 
 def q11(mu_a: float, mu_b: float, y11: float) -> float:

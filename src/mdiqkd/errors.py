@@ -21,15 +21,14 @@ class InversionError(NumericalFailure):
     """The decoy linear system is singular or too ill-conditioned to solve.
 
     Carries the estimated condition number and, when raised inside the
-    two-stage estimator, the stage and index at which the solve failed.
+    two-stage estimator, the stage whose solve failed.
     """
 
     def __init__(self, message: str, condition: float | None = None,
-                 stage: str | None = None, index: int | None = None):
+                 stage: str | None = None):
         super().__init__(message)
         self.condition = condition
         self.stage = stage
-        self.index = index
 
 
 class UndefinedCoincidenceError(NumericalFailure):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -50,7 +49,6 @@ def binary_entropy(x: float) -> float:
 @dataclass(frozen=True)
 class KeyRateParams:
     error_correction_inefficiency: float = 1.16
-    entropy_fn: Callable[[float], float] = binary_entropy
 
     def __post_init__(self):
         if self.error_correction_inefficiency < 1.0:
@@ -82,8 +80,8 @@ def key_rate(q11_rect: float, e11_diag: float, q_rect: float,
     else:
         if not (0.0 <= e_rect <= 1.0):
             raise ValueError(f"e_rect must be in [0, 1], got {e_rect}")
-        ec_term = q_rect * params.error_correction_inefficiency * params.entropy_fn(e_rect)
-    raw = q11_rect * (1.0 - params.entropy_fn(e11_diag)) - ec_term
+        ec_term = q_rect * params.error_correction_inefficiency * binary_entropy(e_rect)
+    raw = q11_rect * (1.0 - binary_entropy(e11_diag)) - ec_term
     return KeyRateValue(raw=raw, clamped=max(raw, 0.0))
 
 
@@ -176,11 +174,17 @@ class _DistanceTerms:
     e11: float  # NaN when the diagonal basis has no successes at all
 
 
-def _distance_terms(system: SystemModel, distance_km: float, placement) -> _DistanceTerms:
+def arm_transmittances(system: SystemModel, distance_km: float,
+                       placement) -> tuple[float, float]:
+    """Transmittances (t_A, t_B) of the two fiber arms at a total distance."""
     la, lb = arm_lengths(distance_km, placement)
     channel = ChannelModel(length_a_km=la, length_b_km=lb,
                            attenuation_db_per_km=system.attenuation_db_per_km)
-    ta, tb = channel.transmittance_a, channel.transmittance_b
+    return channel.transmittance_a, channel.transmittance_b
+
+
+def _distance_terms(system: SystemModel, distance_km: float, placement) -> _DistanceTerms:
+    ta, tb = arm_transmittances(system, distance_km, placement)
     rect_sent = loss_adjusted_table(system.single_photon_relay_tables[Basis.RECT], ta, tb)
     diag_sent = loss_adjusted_table(system.single_photon_relay_tables[Basis.DIAG], ta, tb)
     return _DistanceTerms(distance_km=distance_km, t_a=ta, t_b=tb,

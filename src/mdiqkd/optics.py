@@ -203,22 +203,16 @@ class DetectorModel:
         return np.array(self.dark_prob)
 
 
-IDEAL_DETECTORS = DetectorModel()
-
-
 @dataclass(frozen=True)
 class SourcePulse:
     """A phase-randomized weak coherent pulse in one of the four BB84 states."""
 
     polarization: Polarization
     mean_photon_number: float
-    phase_randomized: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.mean_photon_number) and self.mean_photon_number >= 0.0):
             raise ValueError(f"mean photon number must be finite and >= 0, got {self.mean_photon_number}")
-        if not self.phase_randomized:
-            raise ValueError("only phase-randomized pulses are modeled")
 
 
 def _rotation(theta: float) -> np.ndarray:
@@ -253,9 +247,6 @@ def build_network(cfg: NetworkConfig) -> np.ndarray:
 
     u = rot_out @ np.kron(bs, eye2) @ rot_in
     return _readonly(u)
-
-
-IDEAL_NETWORK = build_network(NetworkConfig())
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -431,8 +422,6 @@ def fock_outcome_probs(
     pol_b: Polarization,
     u: np.ndarray,
     det: DetectorModel,
-    *,
-    n_max: int = 3,
 ) -> dict[BsmOutcome, float]:
     """Exact outcome probabilities for photon-number inputs (n from Alice, m from Bob).
 
@@ -441,17 +430,13 @@ def fock_outcome_probs(
     each occupation then suffers per-mode binomial loss with survival
     probability eta and threshold detection OR-ed with dark clicks.
 
-    The n_max guard rejects photon numbers whose expansion would be large;
-    raise it explicitly for bigger inputs (cost grows ~ (n+3 choose 3)^2).
-    n + m may not exceed the factorial table, _MAX_FACT - 1 photons.
+    The cost grows ~ (n+3 choose 3) * (m+3 choose 3), and n + m may not
+    exceed the factorial table, _MAX_FACT - 1 photons.
     """
     if not (isinstance(n, (int, np.integer)) and isinstance(m, (int, np.integer))):
         raise ValueError("photon counts must be integers")
     if n < 0 or m < 0:
         raise ValueError("photon counts must be non-negative")
-    if n > n_max or m > n_max:
-        raise ValueError(
-            f"photon count ({n}, {m}) exceeds n_max={n_max}; pass a larger n_max to allow it")
     if n + m >= _MAX_FACT:
         raise ValueError(
             f"total photon count n+m = {n + m} exceeds {_MAX_FACT - 1}, "

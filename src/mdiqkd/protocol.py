@@ -151,18 +151,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class AggregateStats:
-    """Gain Q and error rate E of weak coherent pulses in one basis.
-
-    qber is None when no successes occur (Q = 0).
-    """
-
-    basis: Basis
-    gain: float
-    qber: float | None
-
-
 def _bit_pairs(basis: Basis):
     return tuple(product(BASIS_STATES[basis], repeat=2))
 
@@ -187,7 +175,7 @@ def fock_yield_error(n: int, m: int, basis: Basis, u: np.ndarray,
     success = 0.0
     errors = 0.0
     for pol_a, pol_b in _bit_pairs(basis):
-        probs = fock_outcome_probs(n, pol_a, m, pol_b, u, det, n_max=max(n, m, 0))
+        probs = fock_outcome_probs(n, pol_a, m, pol_b, u, det)
         for outcome in (BsmOutcome.PSI_MINUS, BsmOutcome.PSI_PLUS):
             success += probs[outcome]
             if is_error(basis, pol_a, pol_b, outcome):
@@ -217,9 +205,13 @@ def wcp_gains_qbers(mu_a, mu_b, basis: Basis, u: np.ndarray,
                     det: DetectorModel) -> tuple[np.ndarray, np.ndarray]:
     """Gains and error rates of weak coherent pulses over an intensity axis.
 
-    mu_a and mu_b are two scalars or two 1-d arrays of one length; every
-    entry is one wcp_observed_stats evaluation, with the error rate NaN
-    where the gain is zero.  All four bit pairs go through one coherent_success_probs call.
+    This is the synthetic measurement record fed to the decoy estimator:
+    the same averaging and error classification as the photon-number
+    tables, evaluated on the analytic coherent-pulse model.  mu_a and mu_b
+    are two scalars or two 1-d arrays of one length; each entry gives one
+    gain and one error rate, NaN where the gain is zero.  All four bit pairs
+    go through one coherent_success_probs call, and an entry does not depend
+    on the batch around it.
     """
     pairs = _bit_pairs(basis)
     probs = coherent_success_probs(mu_a, mu_b, pairs, u, det)
@@ -232,21 +224,6 @@ def wcp_gains_qbers(mu_a, mu_b, basis: Basis, u: np.ndarray,
     positive = gains > 0.0
     qbers = np.where(positive, errors / 4.0 / np.where(positive, gains, 1.0), np.nan)
     return np.where(positive, gains, 0.0), qbers
-
-
-def wcp_observed_stats(mu_a: float, mu_b: float, basis: Basis, u: np.ndarray,
-                       det: DetectorModel) -> AggregateStats:
-    """Gain and error rate for weak coherent pulses of the given intensities.
-
-    This is the synthetic measurement record fed to the decoy estimator:
-    the same averaging and error classification as the photon-number tables,
-    evaluated on the analytic coherent-pulse model.
-    """
-    gains, qbers = wcp_gains_qbers(mu_a, mu_b, basis, u, det)
-    gain = float(gains[0])
-    if gain <= 0.0:
-        return AggregateStats(basis=basis, gain=0.0, qber=None)
-    return AggregateStats(basis=basis, gain=gain, qber=float(qbers[0]))
 
 
 def _binom_pmf(k: int, n: int, p: float) -> float:

@@ -84,7 +84,7 @@ def test_criterion_2_oracle_equivalence():
         u = build_network(net)
         for pa, pb in pairs:
             fock = {
-                (n, m): fock_outcome_probs(n, pa, m, pb, u, REF_DET, n_max=n_top)
+                (n, m): fock_outcome_probs(n, pa, m, pb, u, REF_DET)
                 for n in range(n_top + 1) for m in range(n_top + 1)
             }
             for mu_a in mus:

@@ -207,6 +207,21 @@ class TestDecoyCommand:
         assert code == 2
         assert "estimation_n_max >= 1" in json.loads(stderr)["error"]["message"]
 
+    def test_ill_conditioned_bob_grid_fails_numerically(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code, stdout, stderr = run(
+            ["decoy", "--grid-bob=0.1,0.1000000001,0.1000000002,0.1000000003,0.1000000004",
+             "--out", str(out)], capsys)
+        assert code == 3
+        assert stdout == ""
+        assert not out.exists()
+        lines = stderr.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["code"] == 3
+        assert error["type"] == "InversionError"
+        assert error["message"].endswith("(stage bob-inversion)")
+
     def test_malformed_external_observations(self, tmp_path, capsys):
         src = tmp_path / "bad.json"
         src.write_text("{\"basis\": \"rect\"}")

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mdiqkd.decoy import (
+    CLAMP_TOL,
     DEFAULT_INTENSITIES,
+    YIELD_EPS,
+    ClampEvent,
     IntensityGrid,
     ObservedStats,
-    estimate_errors,
     estimate_table,
-    estimate_yields,
     invert_poisson,
     observed_from_model,
     observed_from_table,
@@ -32,10 +33,65 @@ IDEAL = build_network(NetworkConfig())
 DET0 = DetectorModel()
 
 
+NEARLY_EQUAL = (0.1, 0.1 + 1e-9, 0.1 + 2e-9, 0.1 + 3e-9, 0.1 + 4e-9)
+# n_max 3 from 8 and 7 intensities: both stages overdetermined.
+WIDE_8_7 = IntensityGrid(alice=(0.02, 0.05, 0.1, 0.2, 0.35, 0.5, 0.7, 0.9),
+                         bob=(0.03, 0.06, 0.12, 0.25, 0.4, 0.6, 0.8))
+
+
 def make_table(yields, errors, basis=Basis.RECT):
     y = np.asarray(yields, dtype=float)
     return YieldErrorTable(basis=basis, n_max=y.shape[0] - 1, yields=y,
                            errors=np.asarray(errors, dtype=float))
+
+
+def per_column_estimate(obs, n_max):
+    """The estimator as two stages of one least-squares solve per column.
+
+    Alice's stage solves each Bob setting separately and Bob's stage each
+    photon number n, with the design matrix rebuilt for every solve; clamping
+    and error-rate division as in the estimator.  Returns the yields, the
+    error rates and the clamp events.
+    """
+    events = []
+
+    def solve(values, mus):
+        design = np.stack([poisson_weights(mu, n_max) for mu in mus])
+        coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)
+        return coeffs
+
+    def clamp(values, lo, hi, quantity, stage):
+        lo = np.broadcast_to(np.asarray(lo, dtype=float), values.shape)
+        hi = np.broadcast_to(np.asarray(hi, dtype=float), values.shape)
+        for idx in zip(*np.nonzero((values < lo - CLAMP_TOL) | (values > hi + CLAMP_TOL))):
+            events.append(ClampEvent(quantity=quantity, stage=stage,
+                                     index=tuple(int(i) for i in idx), raw=float(values[idx])))
+        return np.clip(values, lo, hi)
+
+    def two_stage(matrix, quantity):
+        marginals = np.empty((n_max + 1, len(obs.grid.bob)))
+        for j in range(len(obs.grid.bob)):
+            marginals[:, j] = solve(matrix[:, j], obs.grid.alice)
+        marginals = clamp(marginals, 0.0, 1.0, f"marginal_{quantity}", "alice-inversion")
+        table = np.empty((n_max + 1, n_max + 1))
+        for n in range(n_max + 1):
+            table[n, :] = solve(marginals[n, :], obs.grid.bob)
+        return table
+
+    yields = clamp(two_stage(obs.gains, "yield"), 0.0, 1.0, "yield", "bob-inversion")
+    weighted = clamp(two_stage(obs.error_weighted_gains(), "error_weight"), 0.0, yields,
+                     "error_weight", "bob-inversion")
+    defined = yields > YIELD_EPS
+    errors = np.where(defined, weighted / np.where(defined, yields, 1.0), np.nan)
+    return yields, errors, events
+
+
+def inconsistent_observations(grid, seed=3):
+    """Gains and error rates drawn at random: no yield table produces them."""
+    rng = np.random.default_rng(seed)
+    shape = (len(grid.alice), len(grid.bob))
+    return ObservedStats(basis=Basis.RECT, grid=grid, gains=rng.uniform(0.0, 0.1, shape),
+                         qbers=rng.uniform(0.0, 0.5, shape))
 
 
 class TestPoissonHelpers:
@@ -88,11 +144,28 @@ class TestInvertPoisson:
             invert_poisson(np.zeros(4), (0.05, 0.1, 0.2, 0.3), 4)
 
     def test_ill_conditioned_rejected_with_estimate(self):
-        nearly_equal = (0.1, 0.1 + 1e-9, 0.1 + 2e-9, 0.1 + 3e-9, 0.1 + 4e-9)
         with pytest.raises(InversionError) as err:
-            invert_poisson(np.zeros(5), nearly_equal, 4)
+            invert_poisson(np.zeros(5), NEARLY_EQUAL, 4)
         assert err.value.condition is not None
         assert err.value.condition > 1e10
+
+    def test_columns_equal_one_dimensional_solves(self):
+        # One right-hand side per column: every column's coefficients equal a
+        # 1-d solve bit for bit, and the residual is the largest column misfit.
+        rng = np.random.default_rng(11)
+        values = rng.uniform(0.0, 1.0, size=(len(WIDE_8_7.alice), 5))
+        res = invert_poisson(values, WIDE_8_7.alice, 3)
+        assert res.coefficients.shape == (4, 5)
+        singles = [invert_poisson(values[:, k], WIDE_8_7.alice, 3) for k in range(5)]
+        for k, single in enumerate(singles):
+            assert np.array_equal(res.coefficients[:, k], single.coefficients)
+            assert single.condition == res.condition
+        assert res.residual == max(single.residual for single in singles)
+        assert res.residual > 1e-3
+
+    def test_values_need_one_row_per_intensity(self):
+        with pytest.raises(ValueError, match="one row per intensity"):
+            invert_poisson(np.zeros((5, 6)), GRID.alice, 4)
 
 
 class TestGridAndStats:
@@ -155,12 +228,6 @@ class TestEstimation:
         table = build_yield_error_table(Basis.RECT, U_REF, REF_DET, 4)
         est = estimate_table(observed_from_table(table, GRID), n_max=4)
         assert est.clamp_events == []
-        # stage-1 marginals are exposed, finite and nonnegative after clamping
-        assert {i.quantity for i in est.intermediates} == {"yield", "error_weight"}
-        for inter in est.intermediates:
-            assert inter.marginals.shape == (5, len(GRID.bob))
-            assert np.all(np.isfinite(inter.marginals))
-            assert np.all(inter.marginals >= 0.0)
         # estimation is idempotent: re-synthesizing from the estimate and
         # estimating again changes nothing and still clamps nothing
         again = estimate_table(observed_from_table(est.table, GRID), n_max=4)
@@ -188,20 +255,51 @@ class TestEstimation:
         assert not est.table.error_defined[0, 0]
 
     def test_error_stage_requires_yields(self):
-        table = build_yield_error_table(Basis.RECT, IDEAL, DET0, 4)
-        obs = observed_from_table(table, GRID)
-        y_est = estimate_yields(obs, n_max=4)
-        e_est = estimate_errors(obs, y_est.table)
-        assert np.allclose(e_est.table.yields, y_est.table.yields)
+        # Error rates are the error-weighted yields divided by the estimated
+        # yields: defined exactly where those exceed YIELD_EPS.  Without dark
+        # counts fewer than two photons never succeed, so Y00, Y01 and Y10
+        # are zero and their estimates mere solver noise.
+        table = build_yield_error_table(Basis.DIAG, U_REF, DET0, 4)
+        est = estimate_table(observed_from_table(table, GRID), n_max=4)
+        assert np.array_equal(est.table.error_defined, est.table.yields > YIELD_EPS)
+        for n, m in ((0, 0), (0, 1), (1, 0)):
+            assert not est.table.error_defined[n, m]
+        assert est.table.error_defined.sum() == 22
+        assert np.allclose(est.table.error_weighted(), table.error_weighted(), atol=1e-9)
 
-    def test_condition_failure_carries_stage_context(self):
-        bad_grid = IntensityGrid(alice=(0.1, 0.1 + 1e-9, 0.1 + 2e-9, 0.1 + 3e-9, 0.1 + 4e-9),
-                                 bob=(0.05, 0.1, 0.2, 0.3, 0.4))
+    @pytest.mark.parametrize("stage", ["alice-inversion", "bob-inversion"])
+    def test_condition_failure_carries_stage_context(self, stage):
+        good = (0.05, 0.1, 0.2, 0.3, 0.4)
+        bad_grid = (IntensityGrid(alice=NEARLY_EQUAL, bob=good) if stage == "alice-inversion"
+                    else IntensityGrid(alice=good, bob=NEARLY_EQUAL))
         truth = make_table(np.full((5, 5), 0.25), np.full((5, 5), 0.1))
         obs = observed_from_table(truth, bad_grid)
         with pytest.raises(InversionError) as err:
-            estimate_yields(obs, n_max=4)
-        assert err.value.stage == "alice-inversion"
+            estimate_table(obs, n_max=4)
+        assert err.value.stage == stage
+        assert err.value.condition > 1e10
+        assert str(err.value).endswith(f"(stage {stage})")
+
+    @pytest.mark.parametrize("obs, n_max", [
+        (observed_from_table(build_yield_error_table(Basis.DIAG, U_REF, REF_DET, 4), GRID), 4),
+        (observed_from_model(WIDE_8_7, Basis.RECT, U_REF, REF_DET), 3),
+        (inconsistent_observations(GRID), 4),
+    ], ids=["default-grid", "overdetermined", "inconsistent"])
+    def test_equals_per_column_solves(self, obs, n_max):
+        # One solve per stage gives the tables and clamp events of one solve
+        # per column, bit for bit.
+        yields, errors, events = per_column_estimate(obs, n_max)
+        est = estimate_table(obs, n_max=n_max)
+        assert np.array_equal(est.table.yields, yields)
+        assert np.array_equal(est.table.errors, errors, equal_nan=True)
+        assert est.clamp_events == events
+
+    def test_inconsistent_data_clamps_in_both_stages(self):
+        est = estimate_table(inconsistent_observations(GRID), n_max=4)
+        seen = {(e.quantity, e.stage) for e in est.clamp_events}
+        assert seen == {("marginal_yield", "alice-inversion"), ("yield", "bob-inversion"),
+                        ("marginal_error_weight", "alice-inversion"),
+                        ("error_weight", "bob-inversion")}
 
     def test_more_decoys_recover_better(self):
         # Truth tabulated to 8 photons; inverting with deeper truncation on a

@@ -139,10 +139,7 @@ class TestFockOracle:
         assert sum(p.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_photon_guard(self):
-        with pytest.raises(ValueError, match="n_max"):
-            fock_outcome_probs(4, Polarization.H, 1, Polarization.V, IDEAL, DET0)
-        # explicit opt-in allows larger inputs
-        p = fock_outcome_probs(4, Polarization.H, 1, Polarization.V, IDEAL, DET0, n_max=4)
+        p = fock_outcome_probs(4, Polarization.H, 1, Polarization.V, IDEAL, DET0)
         assert sum(p.values()) == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(ValueError):
             fock_outcome_probs(-1, Polarization.H, 0, Polarization.V, IDEAL, DET0)
@@ -214,7 +211,7 @@ class TestPermanentOracle:
         pol_a, pol_b = pols
         det = DetectorModel(efficiency=0.7, dark_prob=1e-4)
         expected = permanent_oracle(n, pol_a, m, pol_b, U_REF, det)
-        got = fock_outcome_probs(n, pol_a, m, pol_b, U_REF, det, n_max=max(n, m))
+        got = fock_outcome_probs(n, pol_a, m, pol_b, U_REF, det)
         for outcome in BsmOutcome:
             assert got[outcome] == pytest.approx(expected[outcome], abs=1e-12)
 
@@ -243,7 +240,7 @@ class TestCoherentModel:
         for outcome in BsmOutcome:
             mix = sum(
                 w[n] * w[m] * fock_outcome_probs(
-                    n, Polarization.H, m, Polarization.V, IDEAL, DET0, n_max=8)[outcome]
+                    n, Polarization.H, m, Polarization.V, IDEAL, DET0)[outcome]
                 for n in range(9) for m in range(9))
             assert coh[outcome] == pytest.approx(mix, abs=1e-8)
 
@@ -254,7 +251,7 @@ class TestCoherentModel:
         for outcome in BsmOutcome:
             mix = sum(
                 wa[n] * wb[m] * fock_outcome_probs(
-                    n, Polarization.D, m, Polarization.A, U_REF, REF_DET, n_max=8)[outcome]
+                    n, Polarization.D, m, Polarization.A, U_REF, REF_DET)[outcome]
                 for n in range(9) for m in range(9))
             assert coh[outcome] == pytest.approx(mix, abs=1e-8)
 
@@ -367,8 +364,6 @@ class TestValidation:
     def test_source_pulse(self):
         with pytest.raises(ValueError):
             SourcePulse(Polarization.H, -0.1)
-        with pytest.raises(ValueError):
-            SourcePulse(Polarization.H, 0.1, phase_randomized=False)
 
     def test_quadrature_weights_average_to_one(self):
         _, w = phase_quadrature(64)

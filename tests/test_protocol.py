@@ -24,7 +24,6 @@ from mdiqkd.protocol import (
     loss_adjusted_table,
     sift,
     wcp_gains_qbers,
-    wcp_observed_stats,
 )
 
 IDEAL = build_network(NetworkConfig())
@@ -80,33 +79,32 @@ class TestYieldError:
 
 class TestAggregateStats:
     def test_vacuum(self):
-        stats = wcp_observed_stats(0.0, 0.0, Basis.RECT, IDEAL, DET0)
-        assert stats.gain == 0.0
-        assert stats.qber is None
+        gains, qbers = wcp_gains_qbers(0.0, 0.0, Basis.RECT, IDEAL, DET0)
+        assert gains.tolist() == [0.0]
+        assert np.isnan(qbers[0])
 
     def test_gain_matches_poisson_weighted_yields(self):
         mu = 0.1
-        stats = wcp_observed_stats(mu, mu, Basis.RECT, IDEAL, DET0)
+        gains, qbers = wcp_gains_qbers(mu, mu, Basis.RECT, IDEAL, DET0)
         table = build_yield_error_table(Basis.RECT, IDEAL, DET0, 8)
         w = poisson_weights(mu, 8)
-        assert stats.gain == pytest.approx(float(w @ table.yields @ w), abs=1e-6)
-        assert stats.qber == pytest.approx(0.0, abs=1e-12)
+        assert gains[0] == pytest.approx(float(w @ table.yields @ w), abs=1e-6)
+        assert qbers[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_reference_point_regression(self):
         # Frozen from the first full-model evaluation at the reference
         # parameter set, zero distance, mu = 0.1 both sides.
-        stats = wcp_observed_stats(0.1, 0.1, Basis.RECT, U_REF, REF_DET)
-        assert stats.gain == pytest.approx(1.043640350323243e-04, rel=1e-9)
-        assert stats.qber == pytest.approx(0.016425697341769054, rel=1e-9)
+        gains, qbers = wcp_gains_qbers(0.1, 0.1, Basis.RECT, U_REF, REF_DET)
+        assert gains[0] == pytest.approx(1.043640350323243e-04, rel=1e-9)
+        assert qbers[0] == pytest.approx(0.016425697341769054, rel=1e-9)
 
     @pytest.mark.parametrize("basis", list(Basis))
     def test_gain_monotone_in_intensity_and_efficiency(self, basis):
-        gains_mu = [wcp_observed_stats(mu, mu, basis, U_REF, REF_DET).gain
-                    for mu in (0.05, 0.1, 0.2, 0.4)]
-        assert all(b > a for a, b in zip(gains_mu, gains_mu[1:]))
+        mus = [0.05, 0.1, 0.2, 0.4]
+        gains_mu, _ = wcp_gains_qbers(mus, mus, basis, U_REF, REF_DET)
+        assert np.all(np.diff(gains_mu) > 0.0)
         gains_eta = [
-            wcp_observed_stats(0.1, 0.1, basis, U_REF,
-                               DetectorModel(eta, 6.02e-6)).gain
+            wcp_gains_qbers(0.1, 0.1, basis, U_REF, DetectorModel(eta, 6.02e-6))[0][0]
             for eta in (0.05, 0.145, 0.4, 0.9)]
         assert all(b > a for a, b in zip(gains_eta, gains_eta[1:]))
 
@@ -118,12 +116,9 @@ class TestBatchedAggregateStats:
         mu_b = np.array([0.0, 0.2, 0.05, 0.6, 1e-3, 0.4, 0.2, 0.1, 0.4, 0.8])
         gains, qbers = wcp_gains_qbers(mu_a, mu_b, basis, U_REF, REF_DET)
         for i in range(len(mu_a)):
-            stats = wcp_observed_stats(mu_a[i], mu_b[i], basis, U_REF, REF_DET)
-            assert gains[i] == stats.gain
-            if stats.qber is None:
-                assert np.isnan(qbers[i])
-            else:
-                assert qbers[i] == stats.qber
+            gain, qber = wcp_gains_qbers(mu_a[i], mu_b[i], basis, U_REF, REF_DET)
+            assert gains[i] == gain[0]
+            assert np.array_equal(qbers[i], qber[0], equal_nan=True)
 
     def test_zero_gain_has_undefined_error_rate(self):
         gains, qbers = wcp_gains_qbers([0.0, 0.1], [0.0, 0.1], Basis.RECT, IDEAL, DET0)
