@@ -21,6 +21,7 @@ from .optics import (
     coherent_outcome_probs,
     coherent_success_probs,
     fock_outcome_probs,
+    fock_success_probs,
 )
 from .protocol import (
     Basis,

@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from dataclasses import fields
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -25,13 +26,7 @@ import numpy as np
 from . import decoy, hom, keyrate, protocol
 from .config import RunConfig, load_config_file
 from .errors import ConfigError, NumericalFailure
-from .optics import (
-    BsmOutcome,
-    Polarization,
-    SourcePulse,
-    coherent_outcome_probs,
-    fock_outcome_probs,
-)
+from .optics import Polarization, coherent_success_probs, fock_success_probs
 from .protocol import Basis, loss_adjusted_table
 
 EXIT_OK = 0
@@ -82,17 +77,22 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig.from_mapping(mapping)
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _csv_text(lines: list[str]) -> str:
+    return "\n".join(lines) + "\n"
 
 
-def _write_json(path: Path, obj: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+def _json_text(obj: dict) -> str:
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+
+
+def _write(path: Path, text: str) -> None:
+    """Write one output file; the text is complete before the file is opened."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc}") from exc
 
 
 def _config_comments(config: RunConfig) -> list[str]:
@@ -115,13 +115,8 @@ def cmd_keyrate(args: argparse.Namespace, config: RunConfig) -> int:
     points = keyrate.distance_scan(system, config.distances_km, placement,
                                    fixed_intensities=fixed, grid=grid)
 
-    path = _out_path(args, config, "keyrate_scan")
-    if config.format == "csv":
-        _write_lines(path, keyrate.scan_csv_lines(points, comments=_config_comments(config)))
-    else:
-        _write_json(path, keyrate.scan_json_obj(points, config=config.resolved_dict()))
-
-    print(f"wrote {path}")
+    # The summary is computed before the scan is written, so that a failed
+    # cutoff search leaves no output file.
     if config.attenuation_db_per_km > 0:
         cutoff = keyrate.find_cutoff(system, placement, grid=grid, fixed_intensities=fixed)
         farthest = max((p.distance_km for p in points if p.key_rate > 0.0), default=0.0)
@@ -131,13 +126,21 @@ def cmd_keyrate(args: argparse.Namespace, config: RunConfig) -> int:
             # farthest scanned distance with a positive rate.
             cutoff = keyrate.find_cutoff(system, placement, lo_km=farthest, grid=grid,
                                          fixed_intensities=fixed)
-        print(f"cutoff_km = {cutoff:.2f}")
         d40 = 40.0 / config.attenuation_db_per_km
         at40 = keyrate._rate_point(system, d40, placement, grid=grid, fixed_intensities=fixed)
-        print(f"rate_at_40db_loss = {at40.key_rate:.6e} (distance {d40:g} km)")
+        summary = [f"cutoff_km = {cutoff:.2f}",
+                   f"rate_at_40db_loss = {at40.key_rate:.6e} (distance {d40:g} km)"]
     else:
-        print("cutoff_km = n/a (lossless channel)")
-        print("rate_at_40db_loss = n/a (lossless channel)")
+        summary = ["cutoff_km = n/a (lossless channel)",
+                   "rate_at_40db_loss = n/a (lossless channel)"]
+
+    path = _out_path(args, config, "keyrate_scan")
+    if config.format == "csv":
+        _write(path, _csv_text(keyrate.scan_csv_lines(points, comments=_config_comments(config))))
+    else:
+        _write(path, _json_text(keyrate.scan_json_obj(points, config=config.resolved_dict())))
+    print(f"wrote {path}")
+    print("\n".join(summary))
     return EXIT_OK
 
 
@@ -170,7 +173,7 @@ def _load_observed(path: str) -> decoy.ObservedStats:
             return decoy.ObservedStats.from_json(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read observed-statistics file {path}: {exc}") from exc
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed observed-statistics file {path}: {exc}") from exc
 
 
@@ -182,7 +185,7 @@ def _invert_external(args: argparse.Namespace, config: RunConfig) -> int:
             f"need at least {config.estimation_n_max + 1} intensities per side")
     est = decoy.estimate_table(obs, n_max=config.estimation_n_max)
     path = Path(args.out) if args.out else Path("decoy_estimate.json")
-    _write_json(path, {
+    _write(path, _json_text({
         "config": config.resolved_dict(),
         "observed": obs.to_json_dict(),
         "estimated": est.table.to_json_dict(),
@@ -191,7 +194,7 @@ def _invert_external(args: argparse.Namespace, config: RunConfig) -> int:
             "max_residual": est.max_residual,
             "max_condition": est.max_condition,
         },
-    })
+    }))
     print(f"wrote {path}")
     print(f"y11_estimated = {est.table.yields[1, 1]:.9e}" if config.estimation_n_max >= 1
           else "y11_estimated = n/a (n_max < 1)")
@@ -256,12 +259,12 @@ def cmd_decoy(args: argparse.Namespace, config: RunConfig) -> int:
 
     path = _out_path(args, config, "decoy_roundtrip")
     if config.format == "json":
-        _write_json(path, {
+        _write(path, _json_text({
             "config": config.resolved_dict(),
             "distance_km": config.decoy_distance_km,
             "bases": per_basis,
             "summary": summary,
-        })
+        }))
     else:
         lines = [f"# {c}" for c in _config_comments(config)]
         lines.append(DECOY_CSV_HEADER)
@@ -273,7 +276,7 @@ def cmd_decoy(args: argparse.Namespace, config: RunConfig) -> int:
                             truth.errors[n, m], est.errors[n, m])
                     lines.append(f"{basis_name},{n},{m}," +
                                  ",".join(keyrate.format_float(v) for v in vals))
-        _write_lines(path, lines)
+        _write(path, _csv_text(lines))
 
     print(f"wrote {path}")
     for basis_name, entry in per_basis.items():
@@ -292,20 +295,15 @@ def cmd_decoy(args: argparse.Namespace, config: RunConfig) -> int:
 
 def cmd_bsm(args: argparse.Namespace, config: RunConfig) -> int:
     system = config.system()
-    u = system.transfer_matrix
-    det = system.detector
-    rows = []
-    for pol_a in _POL_ORDER:
-        for pol_b in _POL_ORDER:
-            if config.bsm_input == "fock":
-                probs = fock_outcome_probs(
-                    config.bsm_photons_a, pol_a, config.bsm_photons_b, pol_b, u, det)
-            else:
-                probs = coherent_outcome_probs(
-                    SourcePulse(pol_a, config.bsm_mu_a), SourcePulse(pol_b, config.bsm_mu_b),
-                    u, det)
-            rows.append((pol_a.value, pol_b.value, probs[BsmOutcome.PSI_MINUS],
-                         probs[BsmOutcome.PSI_PLUS], probs[BsmOutcome.FAIL]))
+    pairs = tuple(product(_POL_ORDER, repeat=2))
+    if config.bsm_input == "fock":
+        success = fock_success_probs(config.bsm_photons_a, config.bsm_photons_b, pairs,
+                                     system.transfer_matrix, system.detector)
+    else:
+        success = coherent_success_probs(config.bsm_mu_a, config.bsm_mu_b, pairs,
+                                         system.transfer_matrix, system.detector)[0]
+    rows = [(pol_a.value, pol_b.value, pm, pp, 1.0 - pm - pp)
+            for (pol_a, pol_b), (pm, pp) in zip(pairs, success.tolist())]
 
     path = _out_path(args, config, "bsm_table")
     if config.format == "csv":
@@ -314,14 +312,14 @@ def cmd_bsm(args: argparse.Namespace, config: RunConfig) -> int:
         for pa, pb, pm, pp, pf in rows:
             lines.append(f"{pa},{pb}," + ",".join(keyrate.format_float(v)
                                                   for v in (pm, pp, pf)))
-        _write_lines(path, lines)
+        _write(path, _csv_text(lines))
     else:
-        _write_json(path, {
+        _write(path, _json_text({
             "config": config.resolved_dict(),
             "rows": [{"pol_a": pa, "pol_b": pb, "p_psi_minus": pm,
                       "p_psi_plus": pp, "p_fail": pf}
                      for pa, pb, pm, pp, pf in rows],
-        })
+        }))
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -335,9 +333,9 @@ def cmd_hom(args: argparse.Namespace, config: RunConfig) -> int:
 
     path = _out_path(args, config, "hom_scan")
     if config.format == "csv":
-        _write_lines(path, hom.hom_csv_lines(points, comments=_config_comments(config)))
+        _write(path, _csv_text(hom.hom_csv_lines(points, comments=_config_comments(config))))
     else:
-        _write_json(path, hom.hom_json_obj(points, config=config.resolved_dict()))
+        _write(path, _json_text(hom.hom_json_obj(points, config=config.resolved_dict())))
     print(f"wrote {path}")
     print(f"dip_c0 = {dip.c_norm:.6f}")
     print(f"asymptote_c = {asymptote.c_norm:.6f} (delay {far_delay:g} ps)")

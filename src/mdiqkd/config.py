@@ -267,3 +267,5 @@ def load_config_file(path: str) -> dict[str, str]:
             return parse_config_text(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc

@@ -93,7 +93,8 @@ class IntensityGrid:
 class ObservedStats:
     """Gains and error rates over the intensity grid for one basis.
 
-    qbers entries are NaN where the corresponding gain is zero.
+    qbers entries are NaN where the corresponding gain is zero, and only
+    there: an undefined error rate with a positive gain is rejected.
     """
 
     basis: Basis
@@ -107,11 +108,13 @@ class ObservedStats:
         e = np.array(self.qbers, dtype=float)
         if q.shape != shape or e.shape != shape:
             raise ValueError(f"observed matrices must have shape {shape}")
-        if np.any((q < 0) | (q > 1)):
+        if not np.all((q >= 0) & (q <= 1)):
             raise ValueError("gains must lie in [0, 1]")
         defined = ~np.isnan(e)
         if np.any((e[defined] < 0) | (e[defined] > 1)):
             raise ValueError("defined error rates must lie in [0, 1]")
+        if np.any(~defined & (q > 0)):
+            raise ValueError("error rates must be defined where the gain is positive")
         q.setflags(write=False)
         e.setflags(write=False)
         object.__setattr__(self, "gains", q)

@@ -11,6 +11,9 @@ Bell-state-measurement outcome probabilities for two kinds of inputs:
 * definite photon-number inputs expanded exactly through the network, which
   act as an independent multiphoton oracle for the coherent model.
 
+Both kinds apply one click rule, _success_probs, and return P(psi-) and
+P(psi+) for a sequence of polarization pairs in the same layout.
+
 Detectors are threshold detectors: each mode clicks independently with
 probability 1 - (1-d) * P(no surviving photon), where d is the dark-click
 probability per gate and the survival probability folds in the efficiency.
@@ -32,20 +35,6 @@ import numpy as np
 N_MODES = 4
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
-
-
-class InputMode(enum.IntEnum):
-    ALICE_H = 0
-    ALICE_V = 1
-    BOB_H = 2
-    BOB_V = 3
-
-
-class DetectorMode(enum.IntEnum):
-    D1H = 0
-    D1V = 1
-    D2H = 2
-    D2V = 3
 
 
 class Polarization(enum.Enum):
@@ -102,20 +91,6 @@ def classify_pattern(clicks) -> BsmOutcome:
     if pattern in _PSI_PLUS_PATTERNS:
         return BsmOutcome.PSI_PLUS
     return BsmOutcome.FAIL
-
-
-# Pattern index i encodes clicks as bits: detector k clicked iff (i >> k) & 1.
-_PATTERN_BITS = _readonly(np.array(
-    [[(i >> k) & 1 for k in range(N_MODES)] for i in range(2 ** N_MODES)],
-    dtype=bool))
-
-_OUTCOME_ORDER = (BsmOutcome.PSI_MINUS, BsmOutcome.PSI_PLUS, BsmOutcome.FAIL)
-
-_CLASS_MATRIX = np.zeros((2 ** N_MODES, len(_OUTCOME_ORDER)))
-for _i in range(2 ** N_MODES):
-    _outcome = classify_pattern(tuple(_PATTERN_BITS[_i]))
-    _CLASS_MATRIX[_i, _OUTCOME_ORDER.index(_outcome)] = 1.0
-_CLASS_MATRIX = _readonly(_CLASS_MATRIX)
 
 
 @dataclass(frozen=True)
@@ -282,23 +257,34 @@ PHASE_RULE = phase_quadrature(64)
 _PHASE_ROTATION = _readonly(np.exp(1j * PHASE_RULE[0]))
 
 
-def _pattern_probabilities(p_click: np.ndarray) -> np.ndarray:
-    """Probabilities of all 16 click patterns given per-detector click probs.
+def _success_probs(p: np.ndarray) -> np.ndarray:
+    """P(psi-) and P(psi+) from per-detector click probabilities.
 
-    p_click has shape (..., 4); the result has shape (..., 16) and sums to 1
-    along the last axis by construction.
+    p holds independent click probabilities with the detector axis
+    (D1H, D1V, D2H, D2V) first; the result has the remaining axes and then
+    the two outcomes.  A success is exactly one designated pair clicking with
+    the other two detectors silent, the rule of classify_pattern: with
+    q = 1 - p, psi- = p0 q1 q2 p3 + q0 p1 p2 q3 and
+    psi+ = p0 p1 q2 q3 + q0 q1 p2 p3.
     """
-    p = p_click[..., None, :]
-    factors = np.where(_PATTERN_BITS, p, 1.0 - p)
-    return factors.prod(axis=-1)
+    p0, p1, p2, p3 = p
+    q0, q1, q2, q3 = 1.0 - p
+    # Filled in place rather than stacked: most coherent-kernel calls hold
+    # one intensity, and there np.stack's overhead is a visible share.
+    success = np.empty(p.shape[1:] + (2,))
+    success[..., 0] = p0 * q1 * q2 * p3 + q0 * p1 * p2 * q3
+    success[..., 1] = p0 * p1 * q2 * q3 + q0 * q1 * p2 * p3
+    return success
 
 
-def _class_probs(p_click: np.ndarray) -> np.ndarray:
-    return _pattern_probabilities(p_click) @ _CLASS_MATRIX
-
-
-def _outcome_dict(values: np.ndarray) -> dict[BsmOutcome, float]:
-    return {outcome: float(values[k]) for k, outcome in enumerate(_OUTCOME_ORDER)}
+def _with_failure(success: np.ndarray) -> dict[BsmOutcome, float]:
+    """The outcome dict of one (P(psi-), P(psi+)) pair; failure is the rest."""
+    psi_minus, psi_plus = success.tolist()
+    return {
+        BsmOutcome.PSI_MINUS: psi_minus,
+        BsmOutcome.PSI_PLUS: psi_plus,
+        BsmOutcome.FAIL: 1.0 - psi_minus - psi_plus,
+    }
 
 
 # The coherent kernel holds this many intensities' amplitudes at a time.  It
@@ -325,12 +311,11 @@ def coherent_success_probs(
     For a fixed relative phase phi the input amplitudes are
     (sqrt(mu_A)*pol_A, e^{i phi} sqrt(mu_B)*pol_B); each detector mode with
     output amplitude alpha clicks independently with probability
-    p = 1 - (1-d) exp(-eta |alpha|^2).  Only the four success patterns are
-    formed: with q = 1 - p per detector (D1H, D1V, D2H, D2V),
-    psi- = p0 q1 q2 p3 + q0 p1 p2 q3 and psi+ = p0 p1 q2 q3 + q0 q1 p2 p3.
-    The result is averaged over phi uniform on [0, 2pi) by the Gauss-Legendre
-    rule PHASE_RULE.  Only the relative phase matters, so averaging over one
-    phase is equivalent to independent randomization of both.
+    p = 1 - (1-d) exp(-eta |alpha|^2), and _success_probs forms only the
+    four success patterns.  The result is averaged over phi uniform on
+    [0, 2pi) by the Gauss-Legendre rule PHASE_RULE.  Only the relative phase
+    matters, so averaging over one phase is equivalent to independent
+    randomization of both.
     """
     assert_unitary(u)
     mus = np.array([mu_a, mu_b], dtype=float)
@@ -359,13 +344,8 @@ def coherent_success_probs(
         intensities = np.abs(a_out + _PHASE_ROTATION * b_out) ** 2
 
         p = 1.0 - (1.0 - darks) * np.exp(-etas * intensities)
-        q = 1.0 - p
-        p0, p1, p2, p3 = (p[..., k, :] for k in range(N_MODES))
-        q0, q1, q2, q3 = (q[..., k, :] for k in range(N_MODES))
-        success = np.empty(p0.shape + (2,))
-        success[..., 0] = p0 * q1 * q2 * p3 + q0 * p1 * p2 * q3
-        success[..., 1] = p0 * p1 * q2 * q3 + q0 * q1 * p2 * p3
-        out[chunk] = np.matmul(weights, success)
+        # A view with the detector axis first (np.moveaxis costs more per call).
+        out[chunk] = np.matmul(weights, _success_probs(p.transpose(2, 0, 1, 3)))
     return out
 
 
@@ -380,14 +360,9 @@ def coherent_outcome_probs(
     One intensity and pair of coherent_success_probs; the failure
     probability is the rest, 1 - P(psi-) - P(psi+).
     """
-    psi_minus, psi_plus = coherent_success_probs(
+    return _with_failure(coherent_success_probs(
         alice.mean_photon_number, bob.mean_photon_number,
-        ((alice.polarization, bob.polarization),), u, det)[0, 0].tolist()
-    return {
-        BsmOutcome.PSI_MINUS: psi_minus,
-        BsmOutcome.PSI_PLUS: psi_plus,
-        BsmOutcome.FAIL: 1.0 - psi_minus - psi_plus,
-    }
+        ((alice.polarization, bob.polarization),), u, det)[0, 0])
 
 
 @lru_cache(maxsize=None)
@@ -407,12 +382,64 @@ _FACT = _readonly(np.array([math.factorial(k) for k in range(_MAX_FACT)], dtype=
 _SQRT_FACT = _readonly(np.sqrt(_FACT))
 
 
-def _input_amplitudes(count: int, column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-composition amplitude factors for `count` photons in mode map `column`."""
-    comps = _compositions(count)
-    powers = np.prod(column[None, :] ** comps, axis=1)
-    coeffs = _SQRT_FACT[count] * powers / np.prod(_FACT[comps], axis=1)
-    return comps, coeffs
+def fock_success_probs(
+    n: int,
+    m: int,
+    pairs,
+    u: np.ndarray,
+    det: DetectorModel,
+) -> np.ndarray:
+    """Exact singlet and triplet probabilities for photon-number inputs.
+
+    n photons come from Alice and m from Bob; pairs is a sequence of K
+    (pol_a, pol_b) polarization pairs.  Returns a (K, 2) array holding
+    P(psi-) and P(psi+) for every pair, like coherent_success_probs.
+
+    The creation-operator monomial of the input state is expanded through
+    the network, giving exact amplitudes over output occupation patterns;
+    each occupation then suffers per-mode binomial loss with survival
+    probability eta and threshold detection OR-ed with dark clicks.  The
+    compositions of n and m photons over the four modes and their output
+    occupation indices depend only on (n, m), so they are built once and
+    each pair is expanded on them.
+
+    The cost grows ~ (n+3 choose 3) * (m+3 choose 3) per pair, and n + m may
+    not exceed the factorial table, _MAX_FACT - 1 photons.
+    """
+    if not (isinstance(n, (int, np.integer)) and isinstance(m, (int, np.integer))):
+        raise ValueError("photon counts must be integers")
+    if n < 0 or m < 0:
+        raise ValueError("photon counts must be non-negative")
+    if n + m >= _MAX_FACT:
+        raise ValueError(
+            f"total photon count n+m = {n + m} exceeds {_MAX_FACT - 1}, "
+            f"the largest the expansion supports")
+    assert_unitary(u)
+
+    comps_a, comps_b = _compositions(n), _compositions(m)
+    norm_a, norm_b = np.prod(_FACT[comps_a], axis=1), np.prod(_FACT[comps_b], axis=1)
+    dims = (n + m + 1,) * N_MODES
+    occ = comps_a[:, None, :] + comps_b[None, :, :]
+    lin = np.ravel_multi_index(tuple(occ[..., k] for k in range(N_MODES)), dims).ravel()
+
+    out = np.empty((len(pairs), 2))
+    for k, (pol_a, pol_b) in enumerate(pairs):
+        a_in = np.zeros(N_MODES, dtype=complex)
+        a_in[0:2] = pol_a.jones
+        b_in = np.zeros(N_MODES, dtype=complex)
+        b_in[2:4] = pol_b.jones
+        amp_a = _SQRT_FACT[n] * np.prod((u @ a_in)[None, :] ** comps_a, axis=1) / norm_a
+        amp_b = _SQRT_FACT[m] * np.prod((u @ b_in)[None, :] ** comps_b, axis=1) / norm_b
+        acc = np.zeros(math.prod(dims), dtype=complex)
+        np.add.at(acc, lin, (amp_a[:, None] * amp_b[None, :]).ravel())
+
+        support = np.flatnonzero(acc)
+        occupations = np.stack(np.unravel_index(support, dims), axis=1)
+        probs = np.abs(acc[support]) ** 2 * np.prod(_FACT[occupations], axis=1)
+        survival = (1.0 - det.etas)[None, :] ** occupations
+        p_click = 1.0 - (1.0 - det.darks)[None, :] * survival
+        out[k] = probs @ _success_probs(p_click.T)
+    return out
 
 
 def fock_outcome_probs(
@@ -425,47 +452,7 @@ def fock_outcome_probs(
 ) -> dict[BsmOutcome, float]:
     """Exact outcome probabilities for photon-number inputs (n from Alice, m from Bob).
 
-    The creation-operator monomial of the input state is expanded through
-    the network, giving exact amplitudes over output occupation patterns;
-    each occupation then suffers per-mode binomial loss with survival
-    probability eta and threshold detection OR-ed with dark clicks.
-
-    The cost grows ~ (n+3 choose 3) * (m+3 choose 3), and n + m may not
-    exceed the factorial table, _MAX_FACT - 1 photons.
+    One pair of fock_success_probs; the failure probability is the rest,
+    1 - P(psi-) - P(psi+).
     """
-    if not (isinstance(n, (int, np.integer)) and isinstance(m, (int, np.integer))):
-        raise ValueError("photon counts must be integers")
-    if n < 0 or m < 0:
-        raise ValueError("photon counts must be non-negative")
-    if n + m >= _MAX_FACT:
-        raise ValueError(
-            f"total photon count n+m = {n + m} exceeds {_MAX_FACT - 1}, "
-            f"the largest the expansion supports")
-    assert_unitary(u)
-
-    a_in = np.zeros(N_MODES, dtype=complex)
-    a_in[0:2] = pol_a.jones
-    b_in = np.zeros(N_MODES, dtype=complex)
-    b_in[2:4] = pol_b.jones
-    u_col = u @ a_in
-    v_col = u @ b_in
-
-    comps_a, amp_a = _input_amplitudes(n, u_col)
-    comps_b, amp_b = _input_amplitudes(m, v_col)
-
-    total = n + m
-    base = total + 1
-    occ = comps_a[:, None, :] + comps_b[None, :, :]
-    lin = np.ravel_multi_index(
-        (occ[..., 0], occ[..., 1], occ[..., 2], occ[..., 3]), dims=(base,) * N_MODES)
-    acc = np.zeros(base ** N_MODES, dtype=complex)
-    np.add.at(acc, lin.ravel(), (amp_a[:, None] * amp_b[None, :]).ravel())
-
-    support = np.flatnonzero(acc)
-    occupations = np.stack(np.unravel_index(support, (base,) * N_MODES), axis=1)
-    probs = np.abs(acc[support]) ** 2 * np.prod(_FACT[occupations], axis=1)
-
-    survival = (1.0 - det.etas)[None, :] ** occupations
-    p_click = 1.0 - (1.0 - det.darks)[None, :] * survival
-    outcome = probs @ _class_probs(p_click)
-    return _outcome_dict(outcome)
+    return _with_failure(fock_success_probs(n, m, ((pol_a, pol_b),), u, det)[0])

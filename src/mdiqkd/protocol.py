@@ -24,7 +24,7 @@ from .optics import (
     DetectorModel,
     Polarization,
     coherent_success_probs,
-    fock_outcome_probs,
+    fock_success_probs,
 )
 
 
@@ -156,13 +156,31 @@ def _bit_pairs(basis: Basis):
 
 
 # Which (pair, outcome) terms of a basis are errors, pairs in _bit_pairs order
-# and outcomes psi-, psi+, as laid out by coherent_success_probs.
+# and outcomes psi-, psi+, as laid out by the success kernels of optics.
 _ERROR_TERMS = {
     basis: np.array([is_error(basis, pol_a, pol_b, outcome)
                      for pol_a, pol_b in _bit_pairs(basis)
                      for outcome in (BsmOutcome.PSI_MINUS, BsmOutcome.PSI_PLUS)])
     for basis in Basis
 }
+
+
+def _gains_qbers(probs: np.ndarray, basis: Basis) -> tuple[np.ndarray, np.ndarray]:
+    """Gains and error rates from a (..., 4 pairs, 2 outcomes) success array.
+
+    Averages over the four equiprobable bit pairs of the basis, in
+    _bit_pairs order; an error rate is NaN and its gain 0 where the gain is
+    not positive.
+    """
+    # Running sums over the terms in pair-then-outcome order; accumulate adds
+    # one term at a time, so an entry does not depend on the batch around it.
+    terms = probs.reshape(probs.shape[:-2] + (-1,))
+    success = np.add.accumulate(terms, axis=-1)[..., -1]
+    errors = np.add.accumulate(np.where(_ERROR_TERMS[basis], terms, 0.0), axis=-1)[..., -1]
+    gains = success / 4.0
+    positive = gains > 0.0
+    qbers = np.where(positive, errors / 4.0 / np.where(positive, gains, 1.0), np.nan)
+    return np.where(positive, gains, 0.0), qbers
 
 
 def fock_yield_error(n: int, m: int, basis: Basis, u: np.ndarray,
@@ -172,32 +190,17 @@ def fock_yield_error(n: int, m: int, basis: Basis, u: np.ndarray,
     Averages the exact outcome probabilities over the four equiprobable bit
     pairs of the basis.  Returns (Y, e) with e None when Y = 0.
     """
-    success = 0.0
-    errors = 0.0
-    for pol_a, pol_b in _bit_pairs(basis):
-        probs = fock_outcome_probs(n, pol_a, m, pol_b, u, det)
-        for outcome in (BsmOutcome.PSI_MINUS, BsmOutcome.PSI_PLUS):
-            success += probs[outcome]
-            if is_error(basis, pol_a, pol_b, outcome):
-                errors += probs[outcome]
-    y = success / 4.0
-    if y <= 0.0:
-        return 0.0, None
-    return y, errors / 4.0 / y
+    y, e = _gains_qbers(fock_success_probs(n, m, _bit_pairs(basis), u, det), basis)
+    return (float(y), float(e)) if y > 0.0 else (0.0, None)
 
 
 def build_yield_error_table(basis: Basis, u: np.ndarray, det: DetectorModel,
                             n_max: int) -> YieldErrorTable:
-    """Tabulate Y and e for all photon numbers up to n_max."""
-    size = n_max + 1
-    yields = np.zeros((size, size))
-    errors = np.full((size, size), np.nan)
-    for n in range(size):
-        for m in range(size):
-            y, e = fock_yield_error(n, m, basis, u, det)
-            yields[n, m] = y
-            if e is not None:
-                errors[n, m] = e
+    """Tabulate Y and e for all photon numbers up to n_max, one Fock expansion per cell."""
+    pairs = _bit_pairs(basis)
+    probs = np.array([[fock_success_probs(n, m, pairs, u, det) for m in range(n_max + 1)]
+                      for n in range(n_max + 1)])
+    yields, errors = _gains_qbers(probs, basis)
     return YieldErrorTable(basis=basis, n_max=n_max, yields=yields, errors=errors)
 
 
@@ -213,17 +216,7 @@ def wcp_gains_qbers(mu_a, mu_b, basis: Basis, u: np.ndarray,
     go through one coherent_success_probs call, and an entry does not depend
     on the batch around it.
     """
-    pairs = _bit_pairs(basis)
-    probs = coherent_success_probs(mu_a, mu_b, pairs, u, det)
-    # Running sums over the terms in pair-then-outcome order; accumulate adds
-    # one term at a time, so an entry does not depend on the batch around it.
-    terms = probs.reshape(-1, 2 * len(pairs))
-    success = np.add.accumulate(terms, axis=1)[:, -1]
-    errors = np.add.accumulate(np.where(_ERROR_TERMS[basis], terms, 0.0), axis=1)[:, -1]
-    gains = success / 4.0
-    positive = gains > 0.0
-    qbers = np.where(positive, errors / 4.0 / np.where(positive, gains, 1.0), np.nan)
-    return np.where(positive, gains, 0.0), qbers
+    return _gains_qbers(coherent_success_probs(mu_a, mu_b, _bit_pairs(basis), u, det), basis)
 
 
 def _binom_pmf(k: int, n: int, p: float) -> float:

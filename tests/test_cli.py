@@ -1,9 +1,11 @@
 import contextlib
 import io
 import json
+import math
 import re
 import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,8 @@ from hypothesis import strategies as st
 
 from mdiqkd.cli import main
 from mdiqkd.config import RunConfig
+from mdiqkd.decoy import IntensityGrid, observed_from_model
+from mdiqkd.protocol import Basis
 
 FAST = ["--opt-grid-points", "12", "--distances-km", "0,100,200"]
 
@@ -19,6 +23,22 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_exits_cleanly(argv, out: Path) -> int:
+    """Run argv writing to out: exit 0, 2 or 3, and on failure one JSON error and no file."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv + [f"--out={out}"])
+    assert code in (0, 2, 3)
+    assert "nan" not in stdout.getvalue()
+    if code != 0:
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["code"] == code and error["message"]
+        assert not out.exists()
+    return code
 
 
 class TestKeyrateCommand:
@@ -118,6 +138,16 @@ class TestKeyrateCommand:
         assert "rate_at_40db_loss = n/a (lossless channel)" in stdout
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert len(rows) == 3
+
+    def test_failed_cutoff_search_writes_nothing(self, tmp_path, capsys):
+        # So little loss that no cutoff lies below 20000 km.
+        out = tmp_path / "scan.csv"
+        code, stdout, stderr = run(["keyrate", "--attenuation-db-per-km=1e-4",
+                                    "--distances-km=0", "--opt-grid-points=4",
+                                    "--out", str(out)], capsys)
+        assert code == 3
+        assert json.loads(stderr)["error"]["type"] == "NumericalFailure"
+        assert stdout == "" and not out.exists()
 
     def test_cutoff_when_rate_rises_from_zero(self, tmp_path, capsys):
         # Fixed unequal intensities with the relay at Alice: no rate at 0 km,
@@ -224,10 +254,42 @@ class TestDecoyCommand:
 
     def test_malformed_external_observations(self, tmp_path, capsys):
         src = tmp_path / "bad.json"
-        src.write_text("{\"basis\": \"rect\"}")
-        code, _, stderr = run(["decoy", "--observed", str(src)], capsys)
+        for text in ("{\"basis\": \"rect\"}", "[1]"):
+            src.write_text(text)
+            code, _, stderr = run(["decoy", "--observed", str(src)], capsys)
+            assert code == 2
+            assert "malformed" in json.loads(stderr)["error"]["message"]
+
+    @staticmethod
+    def assert_observation_rejected(tmp_path, capsys, record, reason):
+        src = tmp_path / "observed.json"
+        src.write_text(json.dumps(record))
+        out = tmp_path / "estimate.json"
+        code, stdout, stderr = run(["decoy", "--observed", str(src), "--out", str(out)], capsys)
         assert code == 2
-        assert "malformed" in json.loads(stderr)["error"]["message"]
+        error = json.loads(stderr)["error"]
+        assert error["type"] == "ConfigError"
+        assert error["message"].startswith(f"malformed observed-statistics file {src}")
+        assert reason in error["message"]
+        assert stdout == "" and not out.exists()
+
+    def test_nan_gain_rejected(self, tmp_path, capsys):
+        grid = list(IntensityGrid().alice)
+        gains = [[0.01] * len(grid) for _ in grid]
+        gains[2][3] = math.nan
+        record = {"basis": "rect", "alice_intensities": grid, "bob_intensities": grid,
+                  "gains": gains, "qbers": [[0.1] * len(grid) for _ in grid]}
+        self.assert_observation_rejected(tmp_path, capsys, record, "gains must lie in [0, 1]")
+
+    def test_undefined_error_rate_with_positive_gain_rejected(self, tmp_path, capsys):
+        # Counting the null entry as zero errors would lower the e11 estimate.
+        system = RunConfig().system()
+        record = observed_from_model(IntensityGrid(), Basis.DIAG, system.transfer_matrix,
+                                     system.detector).to_json_dict()
+        assert record["gains"][1][1] > 0.0
+        record["qbers"][1][1] = None
+        self.assert_observation_rejected(tmp_path, capsys, record,
+                                         "error rates must be defined where the gain is positive")
 
 
 class TestBsmCommand:
@@ -307,6 +369,27 @@ class TestHomCommand:
         assert stdout == "" and not out.exists()
 
 
+class TestOutputPath:
+    def test_out_under_a_regular_file(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        out = blocker / "x.csv"
+        code, stdout, stderr = run(["hom", "--hom-delays-ps=0", "--out", str(out)], capsys)
+        assert code == 2
+        error = json.loads(stderr)["error"]
+        assert error["type"] == "ConfigError"
+        assert error["message"].startswith(f"cannot write output file {out}")
+        assert stdout == "" and blocker.read_text() == "kept\n"
+
+    def test_out_names_a_directory(self, tmp_path, capsys):
+        code, stdout, stderr = run(["hom", "--hom-delays-ps=0", "--out", str(tmp_path)], capsys)
+        assert code == 2
+        error = json.loads(stderr)["error"]
+        assert error["type"] == "ConfigError"
+        assert error["message"].startswith(f"cannot write output file {tmp_path}")
+        assert stdout == "" and list(tmp_path.iterdir()) == []
+
+
 REPLAY_RUNS = {
     "keyrate": ["keyrate", "--opt-grid-points", "10", "--distances-km", "0,25"],
     "bsm": ["bsm", "--bsm-photons-a", "2", "--misalignment", "0.03"],
@@ -369,6 +452,11 @@ VALID_VALUES = {
 }
 INVALID_VALUES = ("", "-1", "0", "nan", "inf", "x")
 PHOTON_COUNTS = ("bsm_photons_a", "bsm_photons_b")
+# Entries written into generated --observed files: valid, undefined,
+# out-of-range and wrongly typed values.
+OBSERVED_VALUES = (0.02, 0.0, 1.0, math.nan, None, -0.1, 1.5, math.inf, "x", [0.1])
+CONFIG_LINES = (b"format = json\n", b"hom_fwhm_ps = 100\n", b"hom_fwhm_ps = nan\n",
+                b"# caf\xe9\n", b"\xc3\x28 = 1\n", b"not_a_key = 1\n", b"hom_delays_ps\n")
 
 
 def pool(key):
@@ -387,6 +475,17 @@ class TestConfig:
         second = tmp_path / "second.csv"
         assert run([command, "--config", str(cfg), "--out", str(second)], capsys)[0] == 0
         assert first.read_bytes() == second.read_bytes()
+
+    def test_non_utf8_config_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"format = csv\n# caf\xe9\n")
+        out = tmp_path / "x.csv"
+        code, _, stderr = run(["hom", "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 2
+        error = json.loads(stderr)["error"]
+        assert error["type"] == "ConfigError"
+        assert error["message"].startswith(f"config file {cfg} is not UTF-8 text")
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["phase_nodes", "synthesis_n_max", "hom_window_ns"])
     def test_removed_keys_rejected(self, tmp_path, capsys, key):
@@ -420,14 +519,39 @@ class TestConfig:
                                            max_size=2, unique=True))
         flags = [f"--{k.replace('_', '-')}={data.draw(st.sampled_from(pool(k)))}"
                  for k in drawn]
-        stdout, stderr = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as workdir:
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = main(base + flags + [f"--out={workdir}/result"])
-        assert code in (0, 2, 3)
-        assert "nan" not in stdout.getvalue()
-        if code != 0:
-            lines = stderr.getvalue().splitlines()
-            assert len(lines) == 1
-            error = json.loads(lines[0])["error"]
-            assert error["code"] == code and error["message"]
+            assert_exits_cleanly(base + flags, Path(workdir) / "result")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_any_input_file_exits_cleanly(self, data):
+        # Generated --observed files and --config files, and --out paths
+        # under a regular file.
+        kind = data.draw(st.sampled_from(["observed", "config", "out"]))
+        with tempfile.TemporaryDirectory() as workdir:
+            work = Path(workdir)
+            out = work / "result"
+            if kind == "observed":
+                record = {"basis": "diag", "alice_intensities": [0.1, 0.3, 0.5],
+                          "bob_intensities": [0.1, 0.3, 0.5],
+                          "gains": [[0.01] * 3 for _ in range(3)],
+                          "qbers": [[0.1] * 3 for _ in range(3)]}
+                for _ in range(data.draw(st.integers(1, 3))):
+                    row = record[data.draw(st.sampled_from(["gains", "qbers"]))]
+                    row[data.draw(st.integers(0, 2))][data.draw(st.integers(0, 2))] = \
+                        data.draw(st.sampled_from(OBSERVED_VALUES))
+                (work / "observed.json").write_text(json.dumps(record))
+                argv = ["decoy", f"--observed={work / 'observed.json'}", "--estimation-n-max=1"]
+            elif kind == "config":
+                chunks = data.draw(st.lists(st.sampled_from(CONFIG_LINES) | st.binary(max_size=6),
+                                            max_size=4))
+                (work / "run.cfg").write_bytes(b"".join(chunks))
+                argv = ["hom", "--hom-delays-ps=0", f"--config={work / 'run.cfg'}"]
+            else:
+                (work / "file").write_text("")
+                out = work / "file" / data.draw(st.sampled_from(["result", "sub/result"]))
+                argv = data.draw(st.sampled_from([["hom", "--hom-delays-ps=0"], ["bsm"],
+                                                  ["bsm", "--format=json"]]))
+            code = assert_exits_cleanly(argv, out)
+            if kind == "out":
+                assert code == 2

@@ -13,11 +13,12 @@ from mdiqkd.optics import (
     Polarization,
     SourcePulse,
     build_network,
-    _class_probs,
+    _success_probs,
     classify_pattern,
     coherent_outcome_probs,
     coherent_success_probs,
     fock_outcome_probs,
+    fock_success_probs,
     phase_quadrature,
     unitarity_defect,
 )
@@ -29,6 +30,8 @@ U_REF = build_network(REF_NET)
 REF_DET = DetectorModel(efficiency=0.145, dark_prob=6.02e-6)
 
 SQ = 1.0 / math.sqrt(2.0)
+
+ALL_PAIRS = tuple(itertools.product(Polarization, repeat=2))
 
 
 def poisson_weights(mu, n_max):
@@ -97,6 +100,43 @@ class TestClassification:
         assert n_success == 4
 
 
+PATTERNS = tuple(itertools.product((False, True), repeat=4))
+OUTCOME_COLUMNS = (BsmOutcome.PSI_MINUS, BsmOutcome.PSI_PLUS, BsmOutcome.FAIL)
+
+
+def sixteen_pattern_probs(p_click):
+    """(psi-, psi+, fail) of independent clicks p_click (..., 4 detectors).
+
+    Sums all 16 click patterns, each assigned its outcome by classify_pattern,
+    so this reference shares nothing with the success kernels.
+    """
+    out = np.zeros(p_click.shape[:-1] + (3,))
+    for bits in PATTERNS:
+        prob = np.prod(np.where(bits, p_click, 1.0 - p_click), axis=-1)
+        out[..., OUTCOME_COLUMNS.index(classify_pattern(bits))] += prob
+    return out
+
+
+class TestClickRule:
+    def test_deterministic_clicks_give_the_pattern_indicator(self):
+        # Click probabilities 0 and 1 make one pattern certain, so each
+        # result is exactly the indicator of its classification.
+        p = np.array(PATTERNS, dtype=float).T
+        got = _success_probs(p)
+        assert got.shape == (16, 2)
+        for k, bits in enumerate(PATTERNS):
+            outcome = classify_pattern(bits)
+            assert got[k].tolist() == [float(outcome is BsmOutcome.PSI_MINUS),
+                                       float(outcome is BsmOutcome.PSI_PLUS)]
+
+    def test_random_clicks_match_sixteen_pattern_sum(self):
+        p = np.random.default_rng(11).uniform(0.0, 1.0, size=(4, 3, 50))
+        got = _success_probs(p)
+        ref = sixteen_pattern_probs(np.moveaxis(p, 0, -1))
+        assert got.shape == (3, 50, 2)
+        assert np.max(np.abs(got - ref[..., :2])) <= 4e-16
+
+
 class TestFockOracle:
     def test_vacuum_fails(self):
         p = fock_outcome_probs(0, Polarization.H, 0, Polarization.H, IDEAL, DET0)
@@ -149,6 +189,15 @@ class TestFockOracle:
         bad[0, 0] = 1.1
         with pytest.raises(ValueError, match="unitary"):
             fock_outcome_probs(1, Polarization.H, 1, Polarization.V, bad, DET0)
+
+    @pytest.mark.parametrize("n,m", [(0, 0), (1, 1), (3, 0), (2, 3)])
+    def test_pairs_equal_one_pair_calls(self, n, m):
+        # Expanding the pairs on shared compositions must not move a bit.
+        got = fock_success_probs(n, m, ALL_PAIRS, U_REF, REF_DET)
+        assert got.shape == (len(ALL_PAIRS), 2)
+        for k, pair in enumerate(ALL_PAIRS):
+            single = fock_success_probs(n, m, (pair,), U_REF, REF_DET)
+            assert got[k].tolist() == single[0].tolist()
 
 
 def _permanent(mat):
@@ -295,11 +344,9 @@ class TestCoherentModel:
                     assert f_a[outcome] == pytest.approx(f_b[outcome], abs=1e-12)
 
 
-ALL_PAIRS = tuple(itertools.product(Polarization, repeat=2))
-
 
 def sixteen_pattern_reference(mu_a, pol_a, mu_b, pol_b, u, det, rule=None):
-    """Phase average of all 16 click patterns, classified by _class_probs.
+    """Phase average of all 16 click patterns, classified by classify_pattern.
 
     rule is a (phases, weights) pair; the default is the 64-node Gauss-Legendre rule.
     """
@@ -310,7 +357,7 @@ def sixteen_pattern_reference(mu_a, pol_a, mu_b, pol_b, u, det, rule=None):
     phases, weights = phase_quadrature(64) if rule is None else rule
     beta = (u @ a_in)[None, :] + np.exp(1j * phases)[:, None] * (u @ b_in)[None, :]
     p_click = 1.0 - (1.0 - det.darks) * np.exp(-det.etas * np.abs(beta) ** 2)
-    return weights @ _class_probs(p_click)
+    return weights @ sixteen_pattern_probs(p_click)
 
 
 class TestCoherentSuccessKernel:

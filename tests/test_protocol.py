@@ -76,6 +76,16 @@ class TestYieldError:
         assert y == 0.0
         assert e is None
 
+    @pytest.mark.parametrize("basis", list(Basis))
+    @pytest.mark.parametrize("u,det", [(IDEAL, DET0), (U_REF, REF_DET)])
+    def test_table_entries_equal_single_components(self, basis, u, det):
+        table = build_yield_error_table(basis, u, det, 3)
+        for n in range(4):
+            for m in range(4):
+                y, e = fock_yield_error(n, m, basis, u, det)
+                assert table.yields[n, m] == y
+                assert (e is None and np.isnan(table.errors[n, m])) or table.errors[n, m] == e
+
 
 class TestAggregateStats:
     def test_vacuum(self):
