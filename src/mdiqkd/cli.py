@@ -39,7 +39,15 @@ BSM_CSV_HEADER = "pol_a,pol_b,p_psi_minus,p_psi_plus,p_fail"
 DECOY_CSV_HEADER = "basis,n,m,y_true,y_estimated,e_true,e_estimated"
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The mdiqkd parser, with the key flags on the subcommand that argv names.
+
+    Every subcommand is registered, so the top-level help and the choice
+    check see all four, but the 32 key flags are added only to the
+    subcommand named by the first non-option word of argv, which is the
+    only one that parses them.  Without argv every subcommand gets them.
+    """
+    chosen = None if argv is None else next((a for a in argv if not a.startswith("-")), "")
     parser = argparse.ArgumentParser(
         prog="mdiqkd",
         description="Rate, estimation and interference models for "
@@ -60,6 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="invert an externally produced observed-statistics JSON "
                                 "file instead of synthesizing one; emits the estimated "
                                 "yield/error table as JSON")
+        if chosen not in (None, name):
+            continue
         for key in fields(RunConfig):
             p.add_argument(f"--{key.name.replace('_', '-')}", dest=f"key_{key.name}",
                            metavar="VALUE", help=key.metadata["help"])
@@ -127,7 +137,8 @@ def cmd_keyrate(args: argparse.Namespace, config: RunConfig) -> int:
             cutoff = keyrate.find_cutoff(system, placement, lo_km=farthest, grid=grid,
                                          fixed_intensities=fixed)
         d40 = 40.0 / config.attenuation_db_per_km
-        at40 = keyrate._rate_point(system, d40, placement, grid=grid, fixed_intensities=fixed)
+        at40 = keyrate._rate_points(system, [d40], placement, grid=grid,
+                                    fixed_intensities=fixed)[0]
         summary = [f"cutoff_km = {cutoff:.2f}",
                    f"rate_at_40db_loss = {at40.key_rate:.6e} (distance {d40:g} km)"]
     else:
@@ -349,8 +360,9 @@ def _fail(code: int, exc: Exception) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         config = resolve_config(args)
         return args.func(args, config)

@@ -23,18 +23,32 @@ import numpy as np
 
 from .decoy import q11
 from .errors import NumericalFailure
-from .optics import DetectorModel, NetworkConfig, build_network
+from .optics import (
+    DetectorModel,
+    NetworkConfig,
+    _coherent_success_probs,
+    assert_unitary,
+    build_network,
+)
 from .protocol import (
     Basis,
     YieldErrorTable,
+    _bit_pairs,
+    _gains_qbers,
     build_yield_error_table,
     loss_adjusted_table,
-    wcp_gains_qbers,
 )
 
 SCAN_CSV_HEADER = "distance_km,mu_a,mu_b,q11_rect,e11_diag,q_rect,e_rect,key_rate_raw,key_rate"
 
 DEFAULT_OPT_GRID = (0.005, 1.0, 40)
+GOLDEN_ITERS = 40
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Bisection levels that find_cutoff probes in one batch: the 3 probes of two
+# levels fill one 4-intensity kernel chunk (optics._MU_CHUNK); 3 levels were
+# slightly slower and 4 much slower on the default keyrate scan.
+_BISECTION_LEVELS = 2
+_MAX_CUTOFF_KM = 20000.0
 
 
 def binary_entropy(x: float) -> float:
@@ -151,7 +165,10 @@ class SystemModel:
 
     @cached_property
     def transfer_matrix(self) -> np.ndarray:
-        return build_network(self.network)
+        # Checked once here, so that the rate path can run the kernel unchecked.
+        u = build_network(self.network)
+        assert_unitary(u)
+        return u
 
     @cached_property
     def single_photon_relay_tables(self) -> dict[Basis, YieldErrorTable]:
@@ -192,32 +209,128 @@ def _distance_terms(system: SystemModel, distance_km: float, placement) -> _Dist
                           e11=float(diag_sent.errors[1, 1]))
 
 
-def _evaluate(system: SystemModel, terms: _DistanceTerms, mus_a, mus_b) -> list[ScanPoint]:
-    """Every term of the rate bound for a vector of intensity pairs at one distance."""
+def _bound_terms(system: SystemModel, terms, mus_a, mus_b):
+    """Every term of the rate bound for a batch of entries, in one kernel call.
+
+    Entry i is the intensity pair (mus_a[i], mus_b[i]) at the distance of
+    terms[i].  The kernel and the bit-pair reduction are batch-invariant, so
+    an entry's values do not depend on the entries around it.  Yields
+    (terms, mu_a, mu_b, q11_rect, q_rect, e_rect, KeyRateValue) per entry.
+    """
     mus_a, mus_b = np.asarray(mus_a, dtype=float), np.asarray(mus_b, dtype=float)
-    gains, qbers = wcp_gains_qbers(terms.t_a * mus_a, terms.t_b * mus_b, Basis.RECT,
-                                   system.transfer_matrix, system.detector)
-    # No diagonal-basis successes at all: the rate is zero regardless.
-    e11_for_rate = 0.0 if math.isnan(terms.e11) else terms.e11
-    points = []
-    for mu_a, mu_b, gain, qber in zip(mus_a.tolist(), mus_b.tolist(),
-                                      gains.tolist(), qbers.tolist()):
-        q11_rect = q11(mu_a, mu_b, terms.y11)
-        rate = key_rate(q11_rect, e11_for_rate, gain, None if math.isnan(qber) else qber,
-                        system.params)
-        points.append(ScanPoint(
-            distance_km=terms.distance_km, mu_a=mu_a, mu_b=mu_b,
-            q11_rect=q11_rect, e11_diag=terms.e11, q_rect=gain, e_rect=qber,
-            key_rate_raw=rate.raw, key_rate=rate.clamped,
-        ))
-    return points
+    t_a = np.array([t.t_a for t in terms])
+    t_b = np.array([t.t_b for t in terms])
+    # Unchecked kernel: SystemModel checked transfer_matrix when it built it.
+    probs = _coherent_success_probs(t_a * mus_a, t_b * mus_b, _bit_pairs(Basis.RECT),
+                                    system.transfer_matrix, system.detector)
+    gains, qbers = _gains_qbers(probs, Basis.RECT)
+    for t, mu_a, mu_b, gain, qber in zip(terms, mus_a.tolist(), mus_b.tolist(),
+                                         gains.tolist(), qbers.tolist()):
+        # No diagonal-basis successes at all: the rate is zero regardless.
+        e11_for_rate = 0.0 if math.isnan(t.e11) else t.e11
+        q11_rect = q11(mu_a, mu_b, t.y11)
+        yield t, mu_a, mu_b, q11_rect, gain, qber, key_rate(
+            q11_rect, e11_for_rate, gain, None if math.isnan(qber) else qber, system.params)
+
+
+def _rates(system: SystemModel, terms, mus) -> list[float]:
+    """Clamped rates at mu_a = mu_b = mus[i] and the distance of terms[i]."""
+    return [rate.clamped for *_, rate in _bound_terms(system, terms, mus, mus)]
+
+
+def _golden_section(a: float, b: float):
+    """Golden-section search for the largest rate on [a, b], as a coroutine.
+
+    Yields a tuple of intensities to probe and receives their rates, so that
+    the searches of many distances can share each kernel call.
+    """
+    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    fc, fd = yield (c, d)
+    for _ in range(GOLDEN_ITERS):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            (fc,) = yield (c,)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            (fd,) = yield (d,)
+
+
+def _optimal_mus(system: SystemModel, terms: list[_DistanceTerms], grid) -> list[float]:
+    """The mu_a = mu_b with the largest clamped rate at each distance.
+
+    The grid of every distance is one batch; then the golden sections of all
+    distances run in lockstep, one kernel call per step.  Each distance
+    keeps its own bracket, around its best grid point, and ties break toward
+    smaller mu.
+    """
+    mus = default_intensity_grid() if grid is None else np.asarray(grid, dtype=float)
+    if mus.size == 0:
+        raise ValueError("intensity grid is empty")
+    size = len(mus)
+    grid_mus = mus.tolist()
+    grid_rates = _rates(system, [t for t in terms for _ in range(size)],
+                        np.tile(mus, len(terms)))
+
+    best: list[tuple[float, float]] = []  # (rate, mu) per distance
+    searches, probes = {}, {}
+    for i in range(len(terms)):
+        rates = grid_rates[i * size:(i + 1) * size]
+        best_idx = rates.index(max(rates))
+        best.append((rates[best_idx], min(mu for mu, r in zip(grid_mus, rates)
+                                          if r == rates[best_idx])))
+        lo, hi = grid_mus[max(best_idx - 1, 0)], grid_mus[min(best_idx + 1, size - 1)]
+        if hi > lo:
+            searches[i] = _golden_section(lo, hi)
+            probes[i] = next(searches[i])
+
+    while probes:
+        index = [i for i, step in probes.items() for _ in step]
+        flat = [mu for step in probes.values() for mu in step]
+        rates = _rates(system, [terms[i] for i in index], flat)
+        for i, mu, rate in zip(index, flat, rates):
+            if rate > best[i][0] or (rate == best[i][0] and mu < best[i][1]):
+                best[i] = (rate, mu)
+        pos, advanced = 0, {}
+        for i, step in probes.items():
+            try:
+                advanced[i] = searches[i].send(rates[pos:pos + len(step)])
+            except StopIteration:
+                pass
+            pos += len(step)
+        probes = advanced
+    return [mu for _, mu in best]
+
+
+def _rate_points(system: SystemModel, distances, placement, *, grid=None,
+                 fixed_intensities: tuple[float, float] | None = None) -> list[ScanPoint]:
+    """The rate at each distance, at the fixed intensity pair if given, else optimized.
+
+    All distances share every kernel call.  Only (mu, rate) floats are kept
+    while optimizing; each distance's winner is evaluated again in one final
+    batch, which batch invariance makes bit-identical to its first value.
+    """
+    terms = [_distance_terms(system, d, placement) for d in distances]
+    if fixed_intensities is None:
+        mus_a = mus_b = _optimal_mus(system, terms, grid)
+    else:
+        mus_a = [fixed_intensities[0]] * len(terms)
+        mus_b = [fixed_intensities[1]] * len(terms)
+    return [
+        ScanPoint(distance_km=t.distance_km, mu_a=mu_a, mu_b=mu_b, q11_rect=q11_rect,
+                  e11_diag=t.e11, q_rect=gain, e_rect=qber,
+                  key_rate_raw=rate.raw, key_rate=rate.clamped)
+        for t, mu_a, mu_b, q11_rect, gain, qber, rate
+        in _bound_terms(system, terms, mus_a, mus_b)
+    ]
 
 
 def evaluate_point(system: SystemModel, distance_km: float, mu_a: float, mu_b: float,
                    placement="midpoint") -> ScanPoint:
     """Evaluate every term of the rate bound at one distance and intensity pair."""
-    terms = _distance_terms(system, distance_km, placement)
-    return _evaluate(system, terms, [mu_a], [mu_b])[0]
+    return _rate_points(system, [distance_km], placement,
+                        fixed_intensities=(mu_a, mu_b))[0]
 
 
 def default_intensity_grid() -> np.ndarray:
@@ -226,61 +339,18 @@ def default_intensity_grid() -> np.ndarray:
 
 
 def optimize_intensity(system: SystemModel, distance_km: float, placement="midpoint",
-                       *, grid=None, golden_iters: int = 40) -> ScanPoint:
-    """Maximize the clamped rate over mu_a = mu_b.
+                       *, grid=None) -> ScanPoint:
+    """Maximize the clamped rate over mu_a = mu_b at one distance.
 
     Grid search over a log-spaced grid, evaluated in one batch, followed by
-    one golden-section refinement around the best grid point.  Ties break
-    toward smaller mu, so a distance beyond cutoff deterministically returns
-    the smallest grid intensity with rate zero.
+    a golden-section refinement of GOLDEN_ITERS steps around the best grid
+    point.  Ties break toward smaller mu, so a distance beyond cutoff
+    deterministically returns the smallest grid intensity with rate zero.
+    This is the one-distance case of the lockstep optimizer that
+    distance_scan and find_cutoff run over many distances at once: their
+    grids share one kernel call, and so does each golden-section step.
     """
-    mus = default_intensity_grid() if grid is None else np.asarray(grid, dtype=float)
-    if mus.size == 0:
-        raise ValueError("intensity grid is empty")
-
-    terms = _distance_terms(system, distance_km, placement)
-    evaluated = _evaluate(system, terms, mus, mus)
-
-    def rate_at(mu: float) -> float:
-        point = _evaluate(system, terms, [mu], [mu])[0]
-        evaluated.append(point)
-        return point.key_rate
-
-    best_idx = 0
-    best_rate = -math.inf
-    for idx, point in enumerate(evaluated):
-        if point.key_rate > best_rate:
-            best_rate, best_idx = point.key_rate, idx
-
-    lo = float(mus[max(best_idx - 1, 0)])
-    hi = float(mus[min(best_idx + 1, len(mus) - 1)])
-    if hi > lo:
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc, fd = rate_at(c), rate_at(d)
-        for _ in range(golden_iters):
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = rate_at(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = rate_at(d)
-
-    best_rate = max(p.key_rate for p in evaluated)
-    return min((p for p in evaluated if p.key_rate == best_rate), key=lambda p: p.mu_a)
-
-
-def _rate_point(system: SystemModel, distance_km: float, placement, *, grid,
-                fixed_intensities: tuple[float, float] | None) -> ScanPoint:
-    """The rate at one distance, at the fixed intensity pair if given, else optimized."""
-    if fixed_intensities is None:
-        return optimize_intensity(system, distance_km, placement, grid=grid)
-    mu_a, mu_b = fixed_intensities
-    return evaluate_point(system, distance_km, mu_a, mu_b, placement)
+    return _rate_points(system, [distance_km], placement, grid=grid)[0]
 
 
 def distance_scan(system: SystemModel, distances, placement="midpoint", *,
@@ -294,8 +364,7 @@ def distance_scan(system: SystemModel, distances, placement="midpoint", *,
         raise ValueError("distances must be >= 0")
     if any(b < a for a, b in zip(ds, ds[1:])):
         raise ValueError("distances must be ascending")
-    return [_rate_point(system, d, placement, grid=grid, fixed_intensities=fixed_intensities)
-            for d in ds]
+    return _rate_points(system, ds, placement, grid=grid, fixed_intensities=fixed_intensities)
 
 
 def find_cutoff(system: SystemModel, placement="midpoint", *, lo_km: float = 0.0,
@@ -310,25 +379,50 @@ def find_cutoff(system: SystemModel, placement="midpoint", *, lo_km: float = 0.0
     intensities and an off-center relay it can rise first, so start from a
     distance with a positive rate.  Raises NumericalFailure when the rate
     stays positive up to 20000 km.
-    """
-    def positive(d: float) -> bool:
-        return _rate_point(system, d, placement, grid=grid,
-                           fixed_intensities=fixed_intensities).key_rate > 0.0
 
-    if not positive(lo_km):
+    lo_km and hi_km are evaluated in one batch.  The bisection then probes
+    the midpoints of its next _BISECTION_LEVELS levels as one speculative
+    batch and follows the path their signs give.  Every midpoint is
+    0.5 * (lo + hi) of the bracket it would split, so the probes on the
+    path taken are those of a one-probe-at-a-time bisection, and so is the
+    result.
+    """
+    def positive(distances) -> list[bool]:
+        return [p.key_rate > 0.0 for p in _rate_points(
+            system, distances, placement, grid=grid, fixed_intensities=fixed_intensities)]
+
+    # hi_km is probed only when it lies beyond lo_km; otherwise it is doubled first.
+    first = positive([lo_km, hi_km] if hi_km > lo_km else [lo_km])
+    if not first[0]:
         return lo_km
-    hi = hi_km
-    while hi <= lo_km or positive(hi):
+    hi, hi_positive = hi_km, first[-1]
+    while hi <= lo_km or hi_positive:
         hi *= 2.0
-        if hi > 20000.0:
-            raise NumericalFailure("no cutoff found below 20000 km")
+        if hi > _MAX_CUTOFF_KM:
+            raise NumericalFailure(f"no cutoff found below {_MAX_CUTOFF_KM:g} km")
+        if hi > lo_km:
+            (hi_positive,) = positive([hi])
+
     lo = lo_km
     while hi - lo > tol_km:
-        mid = 0.5 * (lo + hi)
-        if positive(mid):
-            lo = mid
-        else:
-            hi = mid
+        brackets, probes = [(lo, hi)], []
+        for _ in range(_BISECTION_LEVELS):
+            split = []
+            for a, b in brackets:
+                if b - a > tol_km:
+                    mid = 0.5 * (a + b)
+                    probes.append(mid)
+                    split += [(a, mid), (mid, b)]
+            brackets = split
+        sign = dict(zip(probes, positive(probes)))
+        for _ in range(_BISECTION_LEVELS):
+            if hi - lo <= tol_km:
+                break
+            mid = 0.5 * (lo + hi)
+            if sign[mid]:
+                lo = mid
+            else:
+                hi = mid
     return 0.5 * (lo + hi)
 
 

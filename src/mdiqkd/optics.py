@@ -318,6 +318,11 @@ def coherent_success_probs(
     randomization of both.
     """
     assert_unitary(u)
+    return _coherent_success_probs(mu_a, mu_b, pairs, u, det)
+
+
+def _coherent_success_probs(mu_a, mu_b, pairs, u: np.ndarray, det: DetectorModel) -> np.ndarray:
+    """coherent_success_probs on a transfer matrix its caller has checked once."""
     mus = np.array([mu_a, mu_b], dtype=float)
     if mus.ndim > 2:
         raise ValueError(f"intensities must be scalars or 1-d arrays, got shape {mus.shape[1:]}")

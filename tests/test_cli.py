@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdiqkd.cli import main
+from mdiqkd.cli import build_parser, main
 from mdiqkd.config import RunConfig
 from mdiqkd.decoy import IntensityGrid, observed_from_model
 from mdiqkd.protocol import Basis
@@ -503,6 +503,27 @@ class TestConfig:
         keys = [f"--{f.name.replace('_', '-')}" for f in fields(RunConfig)]
         assert len(keys) == 32
         assert flags == ["--config", "--out"] + keys
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["keyrate", "--help"], ["decoy", "--help"], ["bsm", "--help"],
+        ["hom", "-h"], ["nope"], [], ["keyrate", "--bogus"], ["--", "bsm", "-h"],
+        ["decoy", "--observed=x.json", "--estimation-n-max", "2"],
+        ["hom", "--distances-km=1,2", "--out", "keyrate"],
+    ])
+    def test_parser_with_one_subcommands_flags_matches_full_parser(self, argv):
+        # build_parser(argv) adds the key flags only to the subcommand argv
+        # names; help, errors and parsed values must equal those of the
+        # parser with the flags on every subcommand.
+        def outcome(parser):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    result = vars(parser.parse_args(argv))
+                except SystemExit as exc:
+                    result = exc.code
+            return result, out.getvalue(), err.getvalue()
+
+        assert outcome(build_parser(argv)) == outcome(build_parser())
 
     def test_groups_cover_every_key_once(self):
         grouped = [key for _, keys in KEY_GROUPS for key in keys]

@@ -114,9 +114,9 @@ class TestChannel:
             arm_lengths(10.0, 1.5)
 
 
-def reference_optimize(system, distance_km, placement, golden_iters=40):
+def reference_optimize(system, distance_km, placement, golden_iters=40, grid=None):
     """Grid then golden-section search, one scalar evaluate_point per intensity."""
-    mus = np.geomspace(0.005, 1.0, 40)
+    mus = np.geomspace(0.005, 1.0, 40) if grid is None else np.asarray(grid, dtype=float)
     evaluated = []
 
     def rate_at(mu):
@@ -221,6 +221,23 @@ class TestOptimization:
         assert list(map(repr, dataclasses.astuple(got))) == \
             list(map(repr, dataclasses.astuple(ref)))
 
+    @pytest.mark.parametrize("placement", ["midpoint", "at-alice", 0.3])
+    @pytest.mark.parametrize("distances,grid", [
+        ([0.0, 100.0, 250.0, 320.0], None),   # 320 km lies past every cutoff
+        ([0.0, 37.5, 75.0, 150.0], np.geomspace(0.01, 0.8, 7)),
+        ([50.0, 50.0, 200.0], np.array([0.2])),  # one grid point: no golden section
+        ([0.0, 320.0], np.geomspace(0.8, 0.01, 9)),  # descending: ties pick the last
+    ])
+    def test_lockstep_scan_matches_scalar_reference(self, placement, distances, grid):
+        # Every distance of a scan runs its own golden section inside shared
+        # kernel calls; each point must equal the one-distance scalar search,
+        # including the tie-break to the smallest mu where the rate is zero.
+        got = distance_scan(REF_SYSTEM, distances, placement, grid=grid)
+        for point, distance in zip(got, distances):
+            ref = reference_optimize(REF_SYSTEM, distance, placement, grid=grid)
+            assert list(map(repr, dataclasses.astuple(point))) == \
+                list(map(repr, dataclasses.astuple(ref)))
+
     def test_refinement_beats_dense_grid(self):
         # the golden refinement must find at least as much rate as a dense
         # brute-force grid around the optimum
@@ -274,7 +291,64 @@ class TestScan:
                 assert p.key_rate == 0.0
 
 
+def sequential_cutoff(system, placement="midpoint", *, lo_km=0.0, hi_km=500.0,
+                      tol_km=0.25, fixed_intensities=None):
+    """Bisection with one probe at a time, each a one-distance rate evaluation."""
+    def positive(d):
+        if fixed_intensities is None:
+            return optimize_intensity(system, d, placement).key_rate > 0.0
+        return evaluate_point(system, d, *fixed_intensities, placement).key_rate > 0.0
+
+    if not positive(lo_km):
+        return lo_km
+    hi = hi_km
+    while hi <= lo_km or positive(hi):
+        hi *= 2.0
+        if hi > 20000.0:
+            raise NumericalFailure("no cutoff found below 20000 km")
+    lo = lo_km
+    while hi - lo > tol_km:
+        mid = 0.5 * (lo + hi)
+        if positive(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+# Fixed unequal intensities with the relay at Alice: no rate at 0 km, a
+# positive one from 12.5 to 75 km.
+RISING_SYSTEM = SystemModel(
+    network=NetworkConfig.from_misalignment(0.02998),
+    detector=DetectorModel(efficiency=0.1523, dark_prob=8.913e-06),
+)
+RISING_MU = (0.06302, 0.5925)
+
+
 class TestCutoff:
+    @pytest.mark.parametrize("placement,kwargs", [
+        ("midpoint", {}),
+        ("at-alice", {}),
+        ("midpoint", {"fixed_intensities": (0.3, 0.3)}),
+        ("midpoint", {"lo_km": 150.0, "hi_km": 100.0, "fixed_intensities": (0.3, 0.3)}),
+        ("midpoint", {"lo_km": 150.0, "hi_km": 100.0}),
+        ("midpoint", {"tol_km": 1e-3, "fixed_intensities": (0.2, 0.2)}),
+    ])
+    def test_speculative_bisection_matches_sequential(self, placement, kwargs):
+        assert find_cutoff(REF_SYSTEM, placement, **kwargs) == \
+            sequential_cutoff(REF_SYSTEM, placement, **kwargs)
+
+    def test_speculative_bisection_from_farthest_positive_distance(self):
+        scan = distance_scan(RISING_SYSTEM, [12.5 * i for i in range(25)], "at-alice",
+                             fixed_intensities=RISING_MU)
+        assert scan[0].key_rate == 0.0
+        farthest = max(p.distance_km for p in scan if p.key_rate > 0.0)
+        got = find_cutoff(RISING_SYSTEM, "at-alice", lo_km=farthest,
+                          fixed_intensities=RISING_MU)
+        assert got == sequential_cutoff(RISING_SYSTEM, "at-alice", lo_km=farthest,
+                                        fixed_intensities=RISING_MU)
+        assert farthest < got < farthest + 12.5
+
     def test_reference_cutoffs(self):
         cut_mid = find_cutoff(REF_SYSTEM, "midpoint")
         assert 200.0 < cut_mid < 300.0
@@ -323,3 +397,30 @@ class TestSerialization:
         assert back["config"] == {"k": "v"}
         assert back["points"][0]["distance_km"] == 0.0
         assert back["points"][0]["key_rate"] == pts[0].key_rate
+
+
+def test_default_keyrate_kernel_calls(tmp_path, monkeypatch, capsys):
+    # Every coherent-kernel call goes through optics._coherent_success_probs;
+    # the lockstep optimizer and the speculative bisection keep a default
+    # keyrate run at 387 of them (1,677 with one golden-section probe per
+    # call), and the transfer matrix is checked once per build, not per call.
+    import mdiqkd
+    from mdiqkd import cli, optics
+
+    counts = {"kernel": 0, "unitary": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for attr, name in (("_coherent_success_probs", "kernel"), ("assert_unitary", "unitary")):
+        original = getattr(optics, attr)
+        for module in (mdiqkd.optics, mdiqkd.keyrate, mdiqkd.protocol):
+            if getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, counted(name, original))
+    assert cli.main(["keyrate", f"--out={tmp_path / 'scan.csv'}"]) == 0
+    assert "cutoff_km = 204.22" in capsys.readouterr().out
+    assert 0 < counts["kernel"] <= 400
+    assert counts["unitary"] <= 20
