@@ -14,8 +14,10 @@ object on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 from dataclasses import fields
 from itertools import product
@@ -35,8 +37,12 @@ EXIT_NUMERIC = 3
 
 _POL_ORDER = (Polarization.H, Polarization.V, Polarization.D, Polarization.A)
 
-BSM_CSV_HEADER = "pol_a,pol_b,p_psi_minus,p_psi_plus,p_fail"
-DECOY_CSV_HEADER = "basis,n,m,y_true,y_estimated,e_true,e_estimated"
+# The columns of each result file: its CSV header and the keys of its JSON records.
+KEYRATE_COLUMNS = ("distance_km", "mu_a", "mu_b", "q11_rect", "e11_diag", "q_rect", "e_rect",
+                   "key_rate_raw", "key_rate")
+DECOY_COLUMNS = ("basis", "n", "m", "y_true", "y_estimated", "e_true", "e_estimated")
+BSM_COLUMNS = ("pol_a", "pol_b", "p_psi_minus", "p_psi_plus", "p_fail")
+HOM_COLUMNS = ("delay_ps", "p1", "p2", "pc", "c_norm")
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
@@ -87,32 +93,50 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig.from_mapping(mapping)
 
 
-def _csv_text(lines: list[str]) -> str:
-    return "\n".join(lines) + "\n"
-
-
-def _json_text(obj: dict) -> str:
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
-
-
 def _write(path: Path, text: str) -> None:
-    """Write one output file; the text is complete before the file is opened."""
+    """Write one result file and report it; the text is complete beforehand.
+
+    The text goes to a temporary file beside the target, which then replaces
+    it, so a failure at any point leaves the old file, or none, in place.
+    """
+    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
         raise ConfigError(f"cannot write output file {path}: {exc}") from exc
+    print(f"wrote {path}")
 
 
-def _config_comments(config: RunConfig) -> list[str]:
-    return [f"{key} = {value}" for key, value in config.resolved_items()]
+def _json_text(config: RunConfig, body: dict) -> str:
+    return json.dumps({"config": config.resolved_dict(), **body},
+                      indent=2, allow_nan=False) + "\n"
 
 
-def _out_path(args: argparse.Namespace, config: RunConfig, stem: str) -> Path:
-    if args.out:
-        return Path(args.out)
-    return Path(f"{stem}.{config.format}")
+def _write_rows(args: argparse.Namespace, config: RunConfig, stem: str, header: tuple,
+                rows: list[tuple], records: str = "", body: dict | None = None) -> None:
+    """Write rows in the configured format to --out or stem.<format>.
+
+    CSV: the config as `# key = value` lines, the header, then one line per
+    row with floats as %.17g.  JSON: {"config": ..., **body}, where body
+    defaults to {records: [header zipped with each row]}, NaN as null.
+    """
+    path = Path(args.out or f"{stem}.{config.format}")
+    if config.format == "csv":
+        lines = [f"# {key} = {value}" for key, value in config.resolved_items()]
+        lines.append(",".join(header))
+        lines += [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+                  for row in rows]
+        _write(path, "\n".join(lines) + "\n")
+    else:
+        if body is None:
+            body = {records: [{key: None if isinstance(v, float) and math.isnan(v) else v
+                               for key, v in zip(header, row)} for row in rows]}
+        _write(path, _json_text(config, body))
 
 
 def cmd_keyrate(args: argparse.Namespace, config: RunConfig) -> int:
@@ -145,19 +169,15 @@ def cmd_keyrate(args: argparse.Namespace, config: RunConfig) -> int:
         summary = ["cutoff_km = n/a (lossless channel)",
                    "rate_at_40db_loss = n/a (lossless channel)"]
 
-    path = _out_path(args, config, "keyrate_scan")
-    if config.format == "csv":
-        _write(path, _csv_text(keyrate.scan_csv_lines(points, comments=_config_comments(config))))
-    else:
-        _write(path, _json_text(keyrate.scan_json_obj(points, config=config.resolved_dict())))
-    print(f"wrote {path}")
+    rows = [tuple(getattr(p, column) for column in KEYRATE_COLUMNS) for p in points]
+    _write_rows(args, config, "keyrate_scan", KEYRATE_COLUMNS, rows, "points")
     print("\n".join(summary))
     return EXIT_OK
 
 
 def _table_entries(table) -> dict:
-    errors = [[None if math.isnan(v) else v for v in row] for row in table.errors.tolist()]
-    return {"yields": table.yields.tolist(), "errors": errors}
+    entries = table.to_json_dict()
+    return {"yields": entries["yields"], "errors": entries["errors"]}
 
 
 def _error_metrics(true_table, est_table) -> dict:
@@ -195,9 +215,7 @@ def _invert_external(args: argparse.Namespace, config: RunConfig) -> int:
             f"observed grid is too small for estimation_n_max = {config.estimation_n_max}: "
             f"need at least {config.estimation_n_max + 1} intensities per side")
     est = decoy.estimate_table(obs, n_max=config.estimation_n_max)
-    path = Path(args.out) if args.out else Path("decoy_estimate.json")
-    _write(path, _json_text({
-        "config": config.resolved_dict(),
+    _write(Path(args.out or "decoy_estimate.json"), _json_text(config, {
         "observed": obs.to_json_dict(),
         "estimated": est.table.to_json_dict(),
         "diagnostics": {
@@ -206,7 +224,6 @@ def _invert_external(args: argparse.Namespace, config: RunConfig) -> int:
             "max_condition": est.max_condition,
         },
     }))
-    print(f"wrote {path}")
     print(f"y11_estimated = {est.table.yields[1, 1]:.9e}" if config.estimation_n_max >= 1
           else "y11_estimated = n/a (n_max < 1)")
     return EXIT_OK
@@ -224,6 +241,7 @@ def cmd_decoy(args: argparse.Namespace, config: RunConfig) -> int:
     n_max = config.estimation_n_max
 
     per_basis: dict[str, dict] = {}
+    tables = {}
     summary: dict[str, float | None] = {}
     for basis in (Basis.RECT, Basis.DIAG):
         relay = protocol.build_yield_error_table(basis, system.transfer_matrix,
@@ -235,6 +253,7 @@ def cmd_decoy(args: argparse.Namespace, config: RunConfig) -> int:
             obs = decoy.observed_from_model(grid, basis, system.transfer_matrix,
                                             system.detector, transmittances=(ta, tb))
         est = decoy.estimate_table(obs, n_max=n_max)
+        tables[basis.value] = (truth, est.table)
         per_basis[basis.value] = {
             "true": _table_entries(truth),
             "estimated": _table_entries(est.table),
@@ -242,11 +261,9 @@ def cmd_decoy(args: argparse.Namespace, config: RunConfig) -> int:
             "clamp_events": len(est.clamp_events),
             "max_residual": est.max_residual,
             "max_condition": est.max_condition,
-            "_tables": (truth, est.table),
         }
 
-    rect_truth, rect_est = per_basis["rect"]["_tables"]
-    diag_truth, diag_est = per_basis["diag"]["_tables"]
+    (rect_truth, rect_est), (diag_truth, diag_est) = tables["rect"], tables["diag"]
     y11_true = float(rect_truth.yields[1, 1])
     y11_est = float(rect_est.yields[1, 1])
     summary["y11_rect_true"] = y11_true
@@ -265,31 +282,15 @@ def cmd_decoy(args: argparse.Namespace, config: RunConfig) -> int:
     summary["q11_mu_a"] = config.fixed_mu_a
     summary["q11_mu_b"] = config.fixed_mu_b
 
-    for entry in per_basis.values():
-        del entry["_tables"]
-
-    path = _out_path(args, config, "decoy_roundtrip")
-    if config.format == "json":
-        _write(path, _json_text({
-            "config": config.resolved_dict(),
-            "distance_km": config.decoy_distance_km,
-            "bases": per_basis,
-            "summary": summary,
-        }))
-    else:
-        lines = [f"# {c}" for c in _config_comments(config)]
-        lines.append(DECOY_CSV_HEADER)
-        for basis_name, truth, est in (("rect", rect_truth, rect_est),
-                                       ("diag", diag_truth, diag_est)):
-            for n in range(n_max + 1):
-                for m in range(n_max + 1):
-                    vals = (truth.yields[n, m], est.yields[n, m],
-                            truth.errors[n, m], est.errors[n, m])
-                    lines.append(f"{basis_name},{n},{m}," +
-                                 ",".join(keyrate.format_float(v) for v in vals))
-        _write(path, _csv_text(lines))
-
-    print(f"wrote {path}")
+    rows = [(name, n, m, truth.yields[n, m], est.yields[n, m], truth.errors[n, m],
+             est.errors[n, m])
+            for name, (truth, est) in tables.items()
+            for n in range(n_max + 1) for m in range(n_max + 1)]
+    _write_rows(args, config, "decoy_roundtrip", DECOY_COLUMNS, rows, body={
+        "distance_km": config.decoy_distance_km,
+        "bases": per_basis,
+        "summary": summary,
+    })
     for basis_name, entry in per_basis.items():
         m = entry["metrics"]
         rel = m["max_rel_error_yields"]
@@ -315,23 +316,7 @@ def cmd_bsm(args: argparse.Namespace, config: RunConfig) -> int:
                                          system.transfer_matrix, system.detector)[0]
     rows = [(pol_a.value, pol_b.value, pm, pp, 1.0 - pm - pp)
             for (pol_a, pol_b), (pm, pp) in zip(pairs, success.tolist())]
-
-    path = _out_path(args, config, "bsm_table")
-    if config.format == "csv":
-        lines = [f"# {c}" for c in _config_comments(config)]
-        lines.append(BSM_CSV_HEADER)
-        for pa, pb, pm, pp, pf in rows:
-            lines.append(f"{pa},{pb}," + ",".join(keyrate.format_float(v)
-                                                  for v in (pm, pp, pf)))
-        _write(path, _csv_text(lines))
-    else:
-        _write(path, _json_text({
-            "config": config.resolved_dict(),
-            "rows": [{"pol_a": pa, "pol_b": pb, "p_psi_minus": pm,
-                      "p_psi_plus": pp, "p_fail": pf}
-                     for pa, pb, pm, pp, pf in rows],
-        }))
-    print(f"wrote {path}")
+    _write_rows(args, config, "bsm_table", BSM_COLUMNS, rows, "rows")
     return EXIT_OK
 
 
@@ -342,12 +327,8 @@ def cmd_hom(args: argparse.Namespace, config: RunConfig) -> int:
     far_delay = max(abs(t) for t in params.delays_ps)
     asymptote = hom.coincidence_point(far_delay, params)
 
-    path = _out_path(args, config, "hom_scan")
-    if config.format == "csv":
-        _write(path, _csv_text(hom.hom_csv_lines(points, comments=_config_comments(config))))
-    else:
-        _write(path, _json_text(hom.hom_json_obj(points, config=config.resolved_dict())))
-    print(f"wrote {path}")
+    rows = [tuple(getattr(p, column) for column in HOM_COLUMNS) for p in points]
+    _write_rows(args, config, "hom_scan", HOM_COLUMNS, rows, "points")
     print(f"dip_c0 = {dip.c_norm:.6f}")
     print(f"asymptote_c = {asymptote.c_norm:.6f} (delay {far_delay:g} ps)")
     return EXIT_OK

@@ -18,12 +18,16 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable
 
+from .decoy import DEFAULT_INTENSITIES
 from .errors import ConfigError
-from .hom import HomParams
-from .keyrate import KeyRateParams, SystemModel
+from .hom import DEFAULT_DELAYS, HomParams
+from .keyrate import DEFAULT_OPT_GRID, KeyRateParams, SystemModel
 from .optics import DetectorModel, NetworkConfig
 
 _DEFAULT_DISTANCES = tuple(i * 12.5 for i in range(25))  # 0..300 km
+# Larger intensity grids are rejected before the optimizer tiles one over
+# every distance.
+MAX_OPT_GRID_POINTS = 10_000
 
 
 def _parse_float(text: str) -> float:
@@ -99,13 +103,15 @@ class RunConfig:
         "optimize", _choice("optimize", "fixed"), "per-distance optimization of mu, or fixed_mu_*")
     fixed_mu_a: float = _key(0.1, _parse_float, "Alice signal intensity in fixed mode")
     fixed_mu_b: float = _key(0.1, _parse_float, "Bob signal intensity in fixed mode")
-    opt_grid_min: float = _key(0.005, _parse_float, "smallest intensity in the search grid")
-    opt_grid_max: float = _key(1.0, _parse_float, "largest intensity in the search grid")
-    opt_grid_points: int = _key(40, _parse_int, "log-spaced intensity grid size")
+    opt_grid_min: float = _key(
+        DEFAULT_OPT_GRID[0], _parse_float, "smallest intensity in the search grid")
+    opt_grid_max: float = _key(
+        DEFAULT_OPT_GRID[1], _parse_float, "largest intensity in the search grid")
+    opt_grid_points: int = _key(DEFAULT_OPT_GRID[2], _parse_int, "log-spaced intensity grid size")
     grid_alice: tuple[float, ...] = _key(
-        (0.05, 0.1, 0.2, 0.3, 0.4, 0.5), _parse_float_list, "decoy intensities used by Alice")
+        DEFAULT_INTENSITIES, _parse_float_list, "decoy intensities used by Alice")
     grid_bob: tuple[float, ...] = _key(
-        (0.05, 0.1, 0.2, 0.3, 0.4, 0.5), _parse_float_list, "decoy intensities used by Bob")
+        DEFAULT_INTENSITIES, _parse_float_list, "decoy intensities used by Bob")
     estimation_n_max: int = _key(4, _parse_int, "photon-number truncation of the inversion")
     decoy_distance_km: float = _key(
         0.0, _parse_float, "total distance at which the decoy round trip is synthesized")
@@ -124,8 +130,7 @@ class RunConfig:
     hom_dark_prob: float = _key(0.0, _parse_float, "dark-click probability in the dip model")
     hom_overlap_ceiling: float = _key(
         1.0, _parse_float, "cap on the mode overlap modeling residual imperfections (1 = off)")
-    hom_delays_ps: tuple[float, ...] = _key(
-        tuple(float(t) for t in range(-1000, 1001, 25)), _parse_float_list, "delay sweep")
+    hom_delays_ps: tuple[float, ...] = _key(DEFAULT_DELAYS, _parse_float_list, "delay sweep")
     format: str = _key("csv", _choice("csv", "json"), "output file format")
 
     def __post_init__(self):
@@ -151,6 +156,8 @@ class RunConfig:
         check(0 < self.opt_grid_min <= self.opt_grid_max,
               "need 0 < opt_grid_min <= opt_grid_max")
         check(self.opt_grid_points >= 1, "opt_grid_points must be >= 1")
+        check(self.opt_grid_points <= MAX_OPT_GRID_POINTS,
+              f"opt_grid_points must be <= {MAX_OPT_GRID_POINTS}")
         if self.relay_position == "custom":
             check(self.arm_length_a_km >= 0 and self.arm_length_b_km >= 0,
                   "custom arm lengths must be >= 0")

@@ -30,9 +30,7 @@ import numpy as np
 from .errors import UndefinedCoincidenceError
 from .optics import PHASE_RULE
 
-HOM_CSV_HEADER = "delay_ps,p1,p2,pc,c_norm"
-
-_DEFAULT_DELAYS = tuple(float(t) for t in range(-1000, 1001, 25))
+DEFAULT_DELAYS = tuple(float(t) for t in range(-1000, 1001, 25))
 
 
 def mode_overlap(tau_ps: float, fwhm_ps: float) -> float:
@@ -57,7 +55,7 @@ class HomParams:
     efficiency: float = 1.0
     dark_prob: float = 0.0
     overlap_ceiling: float = 1.0
-    delays_ps: tuple[float, ...] = _DEFAULT_DELAYS
+    delays_ps: tuple[float, ...] = DEFAULT_DELAYS
 
     def __post_init__(self):
         if self.mean_photon_number < 0:
@@ -119,22 +117,3 @@ def coincidence_point(tau_ps: float, params: HomParams) -> HomPoint:
 def hom_scan(params: HomParams) -> list[HomPoint]:
     """Evaluate the coincidence curve over the configured delay list."""
     return [coincidence_point(tau, params) for tau in params.delays_ps]
-
-
-def hom_csv_lines(points: list[HomPoint], comments=()) -> list[str]:
-    lines = [f"# {c}" for c in comments]
-    lines.append(HOM_CSV_HEADER)
-    for p in points:
-        lines.append(",".join(f"{v:.17g}" for v in (p.delay_ps, p.p1, p.p2, p.pc, p.c_norm)))
-    return lines
-
-
-def hom_json_obj(points: list[HomPoint], config: dict | None = None) -> dict:
-    obj: dict = {}
-    if config is not None:
-        obj["config"] = config
-    obj["points"] = [
-        {"delay_ps": p.delay_ps, "p1": p.p1, "p2": p.p2, "pc": p.pc, "c_norm": p.c_norm}
-        for p in points
-    ]
-    return obj

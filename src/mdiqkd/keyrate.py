@@ -39,8 +39,6 @@ from .protocol import (
     loss_adjusted_table,
 )
 
-SCAN_CSV_HEADER = "distance_km,mu_a,mu_b,q11_rect,e11_diag,q_rect,e_rect,key_rate_raw,key_rate"
-
 DEFAULT_OPT_GRID = (0.005, 1.0, 40)
 GOLDEN_ITERS = 40
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -424,36 +422,3 @@ def find_cutoff(system: SystemModel, placement="midpoint", *, lo_km: float = 0.0
             else:
                 hi = mid
     return 0.5 * (lo + hi)
-
-
-def format_float(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def scan_csv_lines(points: list[ScanPoint], comments=()) -> list[str]:
-    lines = [f"# {c}" for c in comments]
-    lines.append(SCAN_CSV_HEADER)
-    for p in points:
-        lines.append(",".join(format_float(v) for v in (
-            p.distance_km, p.mu_a, p.mu_b, p.q11_rect, p.e11_diag,
-            p.q_rect, p.e_rect, p.key_rate_raw, p.key_rate)))
-    return lines
-
-
-def scan_json_obj(points: list[ScanPoint], config: dict | None = None) -> dict:
-    def clean(x: float):
-        return None if math.isnan(x) else x
-
-    obj: dict = {}
-    if config is not None:
-        obj["config"] = config
-    obj["points"] = [
-        {
-            "distance_km": p.distance_km, "mu_a": p.mu_a, "mu_b": p.mu_b,
-            "q11_rect": p.q11_rect, "e11_diag": clean(p.e11_diag),
-            "q_rect": p.q_rect, "e_rect": clean(p.e_rect),
-            "key_rate_raw": p.key_rate_raw, "key_rate": p.key_rate,
-        }
-        for p in points
-    ]
-    return obj

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import math
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdiqkd import cli
 from mdiqkd.cli import build_parser, main
 from mdiqkd.config import RunConfig
 from mdiqkd.decoy import IntensityGrid, observed_from_model
@@ -57,6 +59,16 @@ class TestKeyrateCommand:
         assert float(at200["key_rate"]) > 0.0
         assert "cutoff_km" in stdout
         assert "rate_at_40db_loss" in stdout
+
+    def test_oversized_intensity_grid_rejected(self, tmp_path, capsys):
+        # Rejected by the config check, before any grid is allocated.
+        out = tmp_path / "scan.csv"
+        code, _, stderr = run(["keyrate", "--opt-grid-points=1000000000", "--out", str(out)],
+                              capsys)
+        assert code == 2
+        assert json.loads(stderr)["error"]["message"] == "opt_grid_points must be <= 10000"
+        assert not out.exists()
+        assert RunConfig(opt_grid_points=10_000).opt_grid_points == 10_000
 
     def test_empty_distance_list_is_usage_error(self, tmp_path, capsys):
         code, _, stderr = run(
@@ -388,6 +400,84 @@ class TestOutputPath:
         assert error["type"] == "ConfigError"
         assert error["message"].startswith(f"cannot write output file {tmp_path}")
         assert stdout == "" and list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "dip.csv"
+        out.write_text("old\n")
+
+        class HalfWrite:
+            # A file whose write stores half the text, then fails.
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:len(text) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        real_open = open
+        monkeypatch.setattr(cli, "open", lambda *a, **kw: HalfWrite(real_open(*a, **kw)),
+                            raising=False)
+        code, stdout, stderr = run(["hom", "--hom-delays-ps=0", "--out", str(out)], capsys)
+        assert code == 2
+        assert json.loads(stderr)["error"]["message"].startswith(
+            f"cannot write output file {out}: [Errno 28]")
+        assert stdout == "" and list(tmp_path.iterdir()) == [out]
+        assert out.read_text() == "old\n"
+
+    def test_written_file_has_the_default_mode(self, tmp_path, capsys):
+        reference = tmp_path / "reference"
+        reference.write_text("")
+        out = tmp_path / "dip.csv"
+        assert run(["hom", "--hom-delays-ps=0", "--out", str(out)], capsys)[0] == 0
+        assert out.stat().st_mode == reference.stat().st_mode
+        assert sorted(tmp_path.iterdir()) == [out, reference]
+
+
+# One run per subcommand whose result file is one table, and the number of
+# NaN cells in it: at 20,000 km without dark clicks the relay never succeeds,
+# so e11_diag and e_rect are undefined.
+TABLE_RUNS = {
+    "keyrate": (["keyrate", "--intensity-mode=fixed", "--dark-count-prob=0",
+                 "--distances-km=0,100,20000"], 2),
+    "bsm": (["bsm", "--bsm-input=coherent", "--bsm-mu-a=0.3"], 0),
+    "hom": (["hom", "--hom-delays-ps=-37.5,0,100", "--hom-dark-prob=1e-5"], 0),
+}
+
+
+class TestOutputFormats:
+    @pytest.mark.parametrize("command", sorted(TABLE_RUNS))
+    def test_csv_and_json_hold_the_same_table(self, tmp_path, capsys, command):
+        argv, nan_cells = TABLE_RUNS[command]
+        csv_out, json_out = tmp_path / "table.csv", tmp_path / "table.json"
+        assert run(argv + ["--out", str(csv_out)], capsys)[0] == 0
+        assert run(argv + ["--format=json", "--out", str(json_out)], capsys)[0] == 0
+        lines = csv_out.read_text().splitlines()
+        comments = [line[2:].split(" = ", 1) for line in lines if line.startswith("# ")]
+        header, *rows = [line.split(",") for line in lines if not line.startswith("# ")]
+        obj = json.loads(json_out.read_text())
+        assert list(obj)[0] == "config" and len(obj) == 2
+        assert comments == [[key, "csv" if key == "format" else value]
+                            for key, value in obj["config"].items()]
+        records = obj[list(obj)[1]]
+        assert len(records) == len(rows) > 0
+        nulls = 0
+        for row, record in zip(rows, records):
+            assert list(record) == header
+            for cell, value in zip(row, record.values()):
+                if value is None:
+                    nulls += 1
+                    assert cell == "nan"
+                elif isinstance(value, str):
+                    assert cell == value
+                else:
+                    assert float(cell) == value
+        assert nulls == nan_cells
 
 
 REPLAY_RUNS = {

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from mdiqkd.errors import UndefinedCoincidenceError
 from mdiqkd.hom import (
-    HOM_CSV_HEADER,
     HomParams,
     coincidence_point,
-    hom_csv_lines,
     hom_scan,
     mode_overlap,
 )
@@ -123,16 +121,6 @@ class TestScan:
         assert all(b >= a - 1e-12 for a, b in zip(half, half[1:]))
         assert min(cs) == pytest.approx(0.52477, abs=1e-4)
         assert max(cs) == pytest.approx(1.0, abs=1e-9)
-
-    def test_csv_lines(self):
-        points = hom_scan(HomParams(delays_ps=(-25.0, 0.0, 25.0)))
-        lines = hom_csv_lines(points, comments=["k = v"])
-        assert lines[0] == "# k = v"
-        assert lines[1] == HOM_CSV_HEADER
-        assert len(lines) == 5
-        fields = lines[3].split(",")
-        assert len(fields) == 5
-        assert float(fields[0]) == 0.0
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

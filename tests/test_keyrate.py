@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 from mdiqkd.decoy import q11
 from mdiqkd.errors import NumericalFailure
 from mdiqkd.keyrate import (
-    SCAN_CSV_HEADER,
     ChannelModel,
     KeyRateParams,
     SystemModel,
@@ -21,8 +19,6 @@ from mdiqkd.keyrate import (
     find_cutoff,
     key_rate,
     optimize_intensity,
-    scan_csv_lines,
-    scan_json_obj,
 )
 from mdiqkd.optics import DetectorModel, NetworkConfig
 
@@ -374,29 +370,6 @@ class TestCutoff:
         lossless = dataclasses.replace(REF_SYSTEM, attenuation_db_per_km=0.0)
         with pytest.raises(NumericalFailure, match="no cutoff"):
             find_cutoff(lossless, "midpoint", fixed_intensities=(0.3, 0.3))
-
-
-class TestSerialization:
-    def test_csv_shape(self):
-        pts = distance_scan(REF_SYSTEM, [0.0, 12.5], fixed_intensities=(0.1, 0.1))
-        lines = scan_csv_lines(pts, comments=["a = 1"])
-        assert lines[0] == "# a = 1"
-        assert lines[1] == SCAN_CSV_HEADER
-        assert len(lines) == 4
-        row = lines[2].split(",")
-        assert len(row) == 9
-        assert row[0] == "0"
-        # full-precision floats round-trip exactly
-        assert float(row[3]) == pts[0].q11_rect
-
-    def test_json_obj(self):
-        pts = distance_scan(REF_SYSTEM, [0.0], fixed_intensities=(0.1, 0.1))
-        obj = scan_json_obj(pts, config={"k": "v"})
-        text = json.dumps(obj)
-        back = json.loads(text)
-        assert back["config"] == {"k": "v"}
-        assert back["points"][0]["distance_km"] == 0.0
-        assert back["points"][0]["key_rate"] == pts[0].key_rate
 
 
 def test_default_keyrate_kernel_calls(tmp_path, monkeypatch, capsys):
