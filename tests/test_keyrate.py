@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdiqkd.cli import KEYRATE_COLUMNS, build_parser, main, resolve_config
 from mdiqkd.decoy import q11
 from mdiqkd.errors import NumericalFailure
 from mdiqkd.keyrate import (
@@ -370,6 +372,44 @@ class TestCutoff:
         lossless = dataclasses.replace(REF_SYSTEM, attenuation_db_per_km=0.0)
         with pytest.raises(NumericalFailure, match="no cutoff"):
             find_cutoff(lossless, "midpoint", fixed_intensities=(0.3, 0.3))
+
+
+class TestSerialization:
+    # The scan file's layout is written by the CLI; these check it against
+    # the scan of the same configuration.
+    ARGV = ["keyrate", "--intensity-mode=fixed", "--fixed-mu-a=0.1", "--fixed-mu-b=0.1",
+            "--distances-km=0,12.5"]
+
+    def run_scan(self, argv, out):
+        assert main(argv + [f"--out={out}"]) == 0
+        config = resolve_config(build_parser(argv).parse_args(argv))
+        pts = distance_scan(config.system(), [0.0, 12.5], config.placement(),
+                            fixed_intensities=(0.1, 0.1))
+        return config, pts
+
+    def test_csv_shape(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        config, pts = self.run_scan(self.ARGV, out)
+        lines = out.read_text().splitlines()
+        n_comments = len(config.resolved_items())
+        assert lines[:n_comments] == [f"# {k} = {v}" for k, v in config.resolved_items()]
+        assert lines[n_comments] == ",".join(KEYRATE_COLUMNS)
+        assert len(lines) == n_comments + 3
+        row = lines[n_comments + 1].split(",")
+        assert len(row) == 9
+        assert row[0] == "0"
+        # full-precision floats round-trip exactly
+        assert float(row[3]) == pts[0].q11_rect
+        assert float(lines[n_comments + 2].split(",")[8]) == pts[1].key_rate
+
+    def test_json_obj(self, tmp_path, capsys):
+        out = tmp_path / "scan.json"
+        config, pts = self.run_scan(self.ARGV + ["--format=json"], out)
+        back = json.loads(out.read_text())
+        assert back["config"] == config.resolved_dict()
+        assert back["points"][0]["distance_km"] == 0.0
+        assert back["points"][0]["key_rate"] == pts[0].key_rate
+        assert back["points"][1]["q11_rect"] == pts[1].q11_rect
 
 
 def test_default_keyrate_kernel_calls(tmp_path, monkeypatch, capsys):
