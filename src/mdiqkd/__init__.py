@@ -48,7 +48,6 @@ from .decoy import (
     q11,
 )
 from .keyrate import (
-    ChannelModel,
     KeyRateParams,
     ScanPoint,
     SystemModel,

@@ -161,8 +161,8 @@ def cmd_keyrate(args: argparse.Namespace, config: RunConfig) -> int:
             cutoff = keyrate.find_cutoff(system, placement, lo_km=farthest, grid=grid,
                                          fixed_intensities=fixed)
         d40 = 40.0 / config.attenuation_db_per_km
-        at40 = keyrate._rate_points(system, [d40], placement, grid=grid,
-                                    fixed_intensities=fixed)[0]
+        (at40,) = keyrate.distance_scan(system, [d40], placement,
+                                        fixed_intensities=fixed, grid=grid)
         summary = [f"cutoff_km = {cutoff:.2f}",
                    f"rate_at_40db_loss = {at40.key_rate:.6e} (distance {d40:g} km)"]
     else:

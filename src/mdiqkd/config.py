@@ -207,9 +207,6 @@ class RunConfig:
         """All keys in canonical order with their canonical string values."""
         return [(f.name, _render(getattr(self, f.name))) for f in fields(self)]
 
-    def render(self) -> str:
-        return "\n".join(f"{key} = {value}" for key, value in self.resolved_items()) + "\n"
-
     def resolved_dict(self) -> dict[str, str]:
         return dict(self.resolved_items())
 

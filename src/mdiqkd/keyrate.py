@@ -42,10 +42,6 @@ from .protocol import (
 DEFAULT_OPT_GRID = (0.005, 1.0, 40)
 GOLDEN_ITERS = 40
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-# Bisection levels that find_cutoff probes in one batch: the 3 probes of two
-# levels fill one 4-intensity kernel chunk (optics._MU_CHUNK); 3 levels were
-# slightly slower and 4 much slower on the default keyrate scan.
-_BISECTION_LEVELS = 2
 _MAX_CUTOFF_KM = 20000.0
 
 
@@ -95,29 +91,6 @@ def key_rate(q11_rect: float, e11_diag: float, q_rect: float,
         ec_term = q_rect * params.error_correction_inefficiency * binary_entropy(e_rect)
     raw = q11_rect * (1.0 - binary_entropy(e11_diag)) - ec_term
     return KeyRateValue(raw=raw, clamped=max(raw, 0.0))
-
-
-@dataclass(frozen=True)
-class ChannelModel:
-    """Fiber arms from Alice and Bob to the relay."""
-
-    length_a_km: float
-    length_b_km: float
-    attenuation_db_per_km: float = 0.2
-
-    def __post_init__(self):
-        if self.length_a_km < 0 or self.length_b_km < 0:
-            raise ValueError("arm lengths must be >= 0")
-        if self.attenuation_db_per_km < 0:
-            raise ValueError("attenuation must be >= 0")
-
-    @property
-    def transmittance_a(self) -> float:
-        return 10.0 ** (-self.attenuation_db_per_km * self.length_a_km / 10.0)
-
-    @property
-    def transmittance_b(self) -> float:
-        return 10.0 ** (-self.attenuation_db_per_km * self.length_b_km / 10.0)
 
 
 def arm_lengths(total_km: float, placement) -> tuple[float, float]:
@@ -192,10 +165,11 @@ class _DistanceTerms:
 def arm_transmittances(system: SystemModel, distance_km: float,
                        placement) -> tuple[float, float]:
     """Transmittances (t_A, t_B) of the two fiber arms at a total distance."""
+    att = system.attenuation_db_per_km
+    if att < 0:
+        raise ValueError("attenuation must be >= 0")
     la, lb = arm_lengths(distance_km, placement)
-    channel = ChannelModel(length_a_km=la, length_b_km=lb,
-                           attenuation_db_per_km=system.attenuation_db_per_km)
-    return channel.transmittance_a, channel.transmittance_b
+    return 10.0 ** (-att * la / 10.0), 10.0 ** (-att * lb / 10.0)
 
 
 def _distance_terms(system: SystemModel, distance_km: float, placement) -> _DistanceTerms:
@@ -231,74 +205,47 @@ def _bound_terms(system: SystemModel, terms, mus_a, mus_b):
             q11_rect, e11_for_rate, gain, None if math.isnan(qber) else qber, system.params)
 
 
-def _rates(system: SystemModel, terms, mus) -> list[float]:
-    """Clamped rates at mu_a = mu_b = mus[i] and the distance of terms[i]."""
-    return [rate.clamped for *_, rate in _bound_terms(system, terms, mus, mus)]
-
-
-def _golden_section(a: float, b: float):
-    """Golden-section search for the largest rate on [a, b], as a coroutine.
-
-    Yields a tuple of intensities to probe and receives their rates, so that
-    the searches of many distances can share each kernel call.
-    """
-    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-    fc, fd = yield (c, d)
-    for _ in range(GOLDEN_ITERS):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            (fc,) = yield (c,)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            (fd,) = yield (d,)
-
-
-def _optimal_mus(system: SystemModel, terms: list[_DistanceTerms], grid) -> list[float]:
+def _optimal_mus(system: SystemModel, terms: list[_DistanceTerms], grid) -> np.ndarray:
     """The mu_a = mu_b with the largest clamped rate at each distance.
 
-    The grid of every distance is one batch; then the golden sections of all
-    distances run in lockstep, one kernel call per step.  Each distance
-    keeps its own bracket, around its best grid point, and ties break toward
-    smaller mu.
+    The grid of every distance is one batch.  Then a golden section of
+    GOLDEN_ITERS steps runs around each distance's best grid point, with its
+    brackets and probes held as arrays over the distances: one kernel call
+    per step.  The probe rates of a distance without a proper bracket (a
+    one-point, constant or descending grid) are masked to -inf.  Each
+    distance keeps the largest rate it has seen, ties broken toward smaller mu.
     """
     mus = default_intensity_grid() if grid is None else np.asarray(grid, dtype=float)
     if mus.size == 0:
         raise ValueError("intensity grid is empty")
-    size = len(mus)
-    grid_mus = mus.tolist()
-    grid_rates = _rates(system, [t for t in terms for _ in range(size)],
-                        np.tile(mus, len(terms)))
+    seen_mus, seen_rates = [], []
 
-    best: list[tuple[float, float]] = []  # (rate, mu) per distance
-    searches, probes = {}, {}
-    for i in range(len(terms)):
-        rates = grid_rates[i * size:(i + 1) * size]
-        best_idx = rates.index(max(rates))
-        best.append((rates[best_idx], min(mu for mu, r in zip(grid_mus, rates)
-                                          if r == rates[best_idx])))
-        lo, hi = grid_mus[max(best_idx - 1, 0)], grid_mus[min(best_idx + 1, size - 1)]
-        if hi > lo:
-            searches[i] = _golden_section(lo, hi)
-            probes[i] = next(searches[i])
+    def probe(points: np.ndarray) -> np.ndarray:
+        """Clamped rates at mu = points[i, j] and distance i, kept for the selection."""
+        entries, flat = [t for t in terms for _ in range(points.shape[1])], points.ravel()
+        rates = [rate.clamped for *_, rate in _bound_terms(system, entries, flat, flat)]
+        seen_mus.append(points)
+        seen_rates.append(np.reshape(rates, points.shape))
+        return seen_rates[-1]
 
-    while probes:
-        index = [i for i, step in probes.items() for _ in step]
-        flat = [mu for step in probes.values() for mu in step]
-        rates = _rates(system, [terms[i] for i in index], flat)
-        for i, mu, rate in zip(index, flat, rates):
-            if rate > best[i][0] or (rate == best[i][0] and mu < best[i][1]):
-                best[i] = (rate, mu)
-        pos, advanced = 0, {}
-        for i, step in probes.items():
-            try:
-                advanced[i] = searches[i].send(rates[pos:pos + len(step)])
-            except StopIteration:
-                pass
-            pos += len(step)
-        probes = advanced
-    return [mu for _, mu in best]
+    best = np.argmax(probe(np.tile(mus, (len(terms), 1))), axis=1)
+    a, b = mus[np.maximum(best - 1, 0)], mus[np.minimum(best + 1, mus.size - 1)]
+    bracketed = b > a
+    if bracketed.any():
+        c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+        fc, fd = probe(np.column_stack([c, d])).T
+        for _ in range(GOLDEN_ITERS):
+            left = fc >= fd  # keep [a, d]; else keep [c, b]
+            a, b = np.where(left, a, c), np.where(left, d, b)
+            step = _INVPHI * (b - a)
+            new = np.where(left, b - step, a + step)
+            f = probe(new[:, None])[:, 0]
+            c, d = np.where(left, new, d), np.where(left, c, new)
+            fc, fd = np.where(left, f, fd), np.where(left, fc, f)
+    mus_seen, rates_seen = np.hstack(seen_mus), np.hstack(seen_rates)
+    rates_seen[~bracketed, mus.size:] = -np.inf  # probes outside a proper bracket
+    top = rates_seen == rates_seen.max(axis=1, keepdims=True)
+    return np.where(top, mus_seen, np.inf).min(axis=1)
 
 
 def _rate_points(system: SystemModel, distances, placement, *, grid=None,
@@ -344,9 +291,8 @@ def optimize_intensity(system: SystemModel, distance_km: float, placement="midpo
     a golden-section refinement of GOLDEN_ITERS steps around the best grid
     point.  Ties break toward smaller mu, so a distance beyond cutoff
     deterministically returns the smallest grid intensity with rate zero.
-    This is the one-distance case of the lockstep optimizer that
-    distance_scan and find_cutoff run over many distances at once: their
-    grids share one kernel call, and so does each golden-section step.
+    This is the one-distance case of the array search that distance_scan
+    and find_cutoff run over many distances at once.
     """
     return _rate_points(system, [distance_km], placement, grid=grid)[0]
 
@@ -376,49 +322,47 @@ def find_cutoff(system: SystemModel, placement="midpoint", *, lo_km: float = 0.0
     intensities the rate falls with distance; with fixed unequal
     intensities and an off-center relay it can rise first, so start from a
     distance with a positive rate.  Raises NumericalFailure when the rate
-    stays positive up to 20000 km.
+    stays positive up to 20000 km, and when, beyond lo_km, the rate is zero
+    only because q_rect has underflowed to 0 (no dark counts).
 
-    lo_km and hi_km are evaluated in one batch.  The bisection then probes
-    the midpoints of its next _BISECTION_LEVELS levels as one speculative
-    batch and follows the path their signs give.  Every midpoint is
-    0.5 * (lo + hi) of the bracket it would split, so the probes on the
-    path taken are those of a one-probe-at-a-time bisection, and so is the
-    result.
+    lo_km and hi_km are evaluated in one batch.  Each bisection batch then
+    probes the bracket's midpoint and, where a half is wider than tol_km, the
+    midpoint of that half, and takes up to two halvings.  Every probe is
+    0.5 * (a + b) of the bracket it would split, so the probes on the path
+    taken are those of a one-probe-at-a-time bisection, and so is the result.
     """
-    def positive(distances) -> list[bool]:
-        return [p.key_rate > 0.0 for p in _rate_points(
-            system, distances, placement, grid=grid, fixed_intensities=fixed_intensities)]
+    def rate_points(distances) -> list[ScanPoint]:
+        return _rate_points(system, distances, placement, grid=grid,
+                            fixed_intensities=fixed_intensities)
+
+    def positive(points) -> list[bool]:
+        # Only for points past a positive rate at lo_km: a zero there with no
+        # successes at all is q_rect underflowing, not a cutoff.
+        for p in points:
+            if p.key_rate == 0.0 and p.q_rect == 0.0:
+                raise NumericalFailure(f"no cutoff found: q_rect underflows to 0 at "
+                                       f"{p.distance_km:g} km")
+        return [p.key_rate > 0.0 for p in points]
 
     # hi_km is probed only when it lies beyond lo_km; otherwise it is doubled first.
-    first = positive([lo_km, hi_km] if hi_km > lo_km else [lo_km])
-    if not first[0]:
+    first = rate_points([lo_km, hi_km] if hi_km > lo_km else [lo_km])
+    if first[0].key_rate == 0.0:
         return lo_km
-    hi, hi_positive = hi_km, first[-1]
+    hi, hi_positive = hi_km, positive(first)[-1]
     while hi <= lo_km or hi_positive:
         hi *= 2.0
         if hi > _MAX_CUTOFF_KM:
             raise NumericalFailure(f"no cutoff found below {_MAX_CUTOFF_KM:g} km")
         if hi > lo_km:
-            (hi_positive,) = positive([hi])
+            (hi_positive,) = positive(rate_points([hi]))
 
     lo = lo_km
     while hi - lo > tol_km:
-        brackets, probes = [(lo, hi)], []
-        for _ in range(_BISECTION_LEVELS):
-            split = []
-            for a, b in brackets:
-                if b - a > tol_km:
-                    mid = 0.5 * (a + b)
-                    probes.append(mid)
-                    split += [(a, mid), (mid, b)]
-            brackets = split
-        sign = dict(zip(probes, positive(probes)))
-        for _ in range(_BISECTION_LEVELS):
-            if hi - lo <= tol_km:
-                break
-            mid = 0.5 * (lo + hi)
-            if sign[mid]:
-                lo = mid
-            else:
-                hi = mid
+        mid = 0.5 * (lo + hi)
+        probes = [mid] + [0.5 * (a + b) for a, b in ((lo, mid), (mid, hi)) if b - a > tol_km]
+        sign = dict(zip(probes, positive(rate_points(probes))))
+        for _ in range(2):
+            if hi - lo > tol_km:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if sign[mid] else (lo, mid)
     return 0.5 * (lo + hi)

@@ -16,6 +16,7 @@ from mdiqkd import cli
 from mdiqkd.cli import build_parser, main
 from mdiqkd.config import RunConfig
 from mdiqkd.decoy import IntensityGrid, observed_from_model
+from mdiqkd.keyrate import evaluate_point, optimize_intensity
 from mdiqkd.protocol import Basis
 
 FAST = ["--opt-grid-points", "12", "--distances-km", "0,100,200"]
@@ -173,6 +174,38 @@ class TestKeyrateCommand:
             "--misalignment=0.02998", "--out", str(out)], capsys)
         assert code == 0
         assert "cutoff_km = 87.14" in stdout
+
+    def test_dark_count_free_underflow_is_not_a_cutoff(self, tmp_path, capsys):
+        # Without dark counts the rate stays positive until q_rect underflows
+        # to 0 near 16,000 km; that is no cutoff.
+        out = tmp_path / "scan.csv"
+        code, stdout, stderr = run(["keyrate", "--dark-count-prob=0", "--intensity-mode=fixed",
+                                    "--distances-km=0,20000", "--out", str(out)], capsys)
+        assert code == 3
+        error = json.loads(stderr)["error"]
+        assert error["type"] == "NumericalFailure" and "underflows" in error["message"]
+        assert stdout == "" and not out.exists()
+
+    def test_no_rate_at_zero_km_is_a_zero_cutoff(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        code, stdout, _ = run(["keyrate", "--detector-efficiency=0", "--dark-count-prob=0",
+                               "--out", str(out)], capsys)
+        assert code == 0
+        assert "cutoff_km = 0.00" in stdout
+
+    @pytest.mark.parametrize("mode", [[], ["--intensity-mode=fixed", "--fixed-mu-a=0.2",
+                                           "--fixed-mu-b=0.4", "--relay-position=at-alice"]])
+    def test_rate_at_40db_loss(self, tmp_path, capsys, mode):
+        argv = ["keyrate", "--attenuation-db-per-km=0.25", "--distances-km=0,50", *mode]
+        code, stdout, _ = run(argv + ["--out", str(tmp_path / "scan.csv")], capsys)
+        assert code == 0
+        config = cli.resolve_config(build_parser(argv).parse_args(argv))
+        system, placement = config.system(), config.placement()
+        if mode:
+            point = evaluate_point(system, 160.0, 0.2, 0.4, placement)
+        else:
+            point = optimize_intensity(system, 160.0, placement)
+        assert f"rate_at_40db_loss = {point.key_rate:.6e} (distance 160 km)" in stdout
 
 
 class TestDecoyCommand:
@@ -441,11 +474,11 @@ class TestOutputPath:
 
 
 # One run per subcommand whose result file is one table, and the number of
-# NaN cells in it: at 20,000 km without dark clicks the relay never succeeds,
-# so e11_diag and e_rect are undefined.
+# NaN cells in it: with blind detectors and no dark clicks the relay never
+# succeeds, so e11_diag and e_rect are undefined at every distance.
 TABLE_RUNS = {
-    "keyrate": (["keyrate", "--intensity-mode=fixed", "--dark-count-prob=0",
-                 "--distances-km=0,100,20000"], 2),
+    "keyrate": (["keyrate", "--detector-efficiency=0", "--dark-count-prob=0",
+                 "--intensity-mode=fixed", "--distances-km=0,100,20000"], 6),
     "bsm": (["bsm", "--bsm-input=coherent", "--bsm-mu-a=0.3"], 0),
     "hom": (["hom", "--hom-delays-ps=-37.5,0,100", "--hom-dark-prob=1e-5"], 0),
 }

@@ -11,10 +11,10 @@ from mdiqkd.cli import KEYRATE_COLUMNS, build_parser, main, resolve_config
 from mdiqkd.decoy import q11
 from mdiqkd.errors import NumericalFailure
 from mdiqkd.keyrate import (
-    ChannelModel,
     KeyRateParams,
     SystemModel,
     arm_lengths,
+    arm_transmittances,
     binary_entropy,
     distance_scan,
     evaluate_point,
@@ -98,9 +98,12 @@ class TestKeyRateFormula:
 
 class TestChannel:
     def test_transmittance(self):
-        ch = ChannelModel(length_a_km=50.0, length_b_km=100.0)
-        assert ch.transmittance_a == pytest.approx(10 ** -1.0)
-        assert ch.transmittance_b == pytest.approx(10 ** -2.0)
+        t_a, t_b = arm_transmittances(REF_SYSTEM, 150.0, 1.0 / 3.0)
+        assert t_a == pytest.approx(10 ** -1.0)
+        assert t_b == pytest.approx(10 ** -2.0)
+        with pytest.raises(ValueError):
+            arm_transmittances(dataclasses.replace(REF_SYSTEM, attenuation_db_per_km=-0.1),
+                               10.0, "midpoint")
 
     def test_arm_lengths(self):
         assert arm_lengths(100.0, "midpoint") == (50.0, 50.0)
@@ -225,6 +228,9 @@ class TestOptimization:
         ([0.0, 37.5, 75.0, 150.0], np.geomspace(0.01, 0.8, 7)),
         ([50.0, 50.0, 200.0], np.array([0.2])),  # one grid point: no golden section
         ([0.0, 320.0], np.geomspace(0.8, 0.01, 9)),  # descending: ties pick the last
+        ([0.0, 200.0, 320.0], np.full(5, 0.3)),  # constant: no bracket, no golden section
+        # Unordered: only 320 km has a bracket, so 0 km's probes are masked.
+        ([0.0, 320.0], np.array([0.01, 0.02, 0.9, 0.5])),
     ])
     def test_lockstep_scan_matches_scalar_reference(self, placement, distances, grid):
         # Every distance of a scan runs its own golden section inside shared
