@@ -1,6 +1,6 @@
 """Measurement-device-independent QKD: relay model, decoy estimation, key rates.
 
-Subpackages:
+Modules:
 
 * optics: transfer matrix of the linear-optics relay and outcome
   probabilities for coherent and photon-number inputs
@@ -16,11 +16,8 @@ from .optics import (
     DetectorModel,
     NetworkConfig,
     Polarization,
-    SourcePulse,
     build_network,
-    coherent_outcome_probs,
     coherent_success_probs,
-    fock_outcome_probs,
     fock_success_probs,
 )
 from .protocol import (
@@ -48,16 +45,13 @@ from .decoy import (
     q11,
 )
 from .keyrate import (
-    KeyRateParams,
     ScanPoint,
     SystemModel,
     arm_transmittances,
     binary_entropy,
     distance_scan,
-    evaluate_point,
     find_cutoff,
     key_rate,
-    optimize_intensity,
 )
 from .hom import HomParams, HomPoint, coincidence_point, hom_scan, mode_overlap
 

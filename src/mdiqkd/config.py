@@ -21,7 +21,7 @@ from typing import Any, Callable
 from .decoy import DEFAULT_INTENSITIES
 from .errors import ConfigError
 from .hom import DEFAULT_DELAYS, HomParams
-from .keyrate import DEFAULT_OPT_GRID, KeyRateParams, SystemModel
+from .keyrate import DEFAULT_OPT_GRID, SystemModel
 from .optics import DetectorModel, NetworkConfig
 
 _DEFAULT_DISTANCES = tuple(i * 12.5 for i in range(25))  # 0..300 km
@@ -212,27 +212,22 @@ class RunConfig:
 
     # Builders for the model layer -------------------------------------
 
-    def network(self) -> NetworkConfig:
-        return NetworkConfig.from_misalignment(self.misalignment)
-
-    def detector(self) -> DetectorModel:
-        return DetectorModel(efficiency=self.detector_efficiency,
-                             dark_prob=self.dark_count_prob)
-
     def system(self) -> SystemModel:
         return SystemModel(
-            network=self.network(),
-            detector=self.detector(),
+            network=NetworkConfig.from_misalignment(self.misalignment),
+            detector=DetectorModel(efficiency=self.detector_efficiency,
+                                   dark_prob=self.dark_count_prob),
             attenuation_db_per_km=self.attenuation_db_per_km,
-            params=KeyRateParams(
-                error_correction_inefficiency=self.error_correction_inefficiency),
+            error_correction_inefficiency=self.error_correction_inefficiency,
         )
 
-    def placement(self):
-        if self.relay_position == "custom":
-            total = self.arm_length_a_km + self.arm_length_b_km
-            return self.arm_length_a_km / total
-        return self.relay_position
+    def placement(self) -> float:
+        """Alice's share of the total distance, as keyrate takes it."""
+        if self.relay_position == "midpoint":
+            return 0.5
+        if self.relay_position == "at-alice":
+            return 0.0
+        return self.arm_length_a_km / (self.arm_length_a_km + self.arm_length_b_km)
 
     def hom_params(self) -> HomParams:
         try:

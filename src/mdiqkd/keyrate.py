@@ -16,7 +16,7 @@ stays inside the detector model throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -55,31 +55,24 @@ def binary_entropy(x: float) -> float:
 
 
 @dataclass(frozen=True)
-class KeyRateParams:
-    error_correction_inefficiency: float = 1.16
-
-    def __post_init__(self):
-        if self.error_correction_inefficiency < 1.0:
-            raise ValueError("error-correction inefficiency must be >= 1")
-
-
-@dataclass(frozen=True)
 class KeyRateValue:
     raw: float
     clamped: float
 
 
-def key_rate(q11_rect: float, e11_diag: float, q_rect: float,
-             e_rect: float | None, params: KeyRateParams = KeyRateParams()) -> KeyRateValue:
+def key_rate(q11_rect: float, e11_diag: float, q_rect: float, e_rect: float | None,
+             error_correction_inefficiency: float = 1.16) -> KeyRateValue:
     """Evaluate the key-rate bound; returns the raw value and max(raw, 0).
 
     e_rect may be None only when q_rect = 0 (no successes, so the
     error-correction term vanishes).
     """
+    if error_correction_inefficiency < 1.0:
+        raise ValueError("error-correction inefficiency must be >= 1")
     for name, value in (("q11_rect", q11_rect), ("e11_diag", e11_diag), ("q_rect", q_rect)):
         if not (0.0 <= value <= 1.0):
             raise ValueError(f"{name} must be in [0, 1], got {value}")
-    if q11_rect > q_rect and not math.isclose(q11_rect, q_rect, rel_tol=1e-9, abs_tol=1e-15):
+    if q11_rect > q_rect and not math.isclose(q11_rect, q_rect, rel_tol=1e-9):
         raise ValueError(f"q11_rect ({q11_rect}) must not exceed q_rect ({q_rect})")
     if e_rect is None:
         if q_rect > 0.0:
@@ -88,28 +81,22 @@ def key_rate(q11_rect: float, e11_diag: float, q_rect: float,
     else:
         if not (0.0 <= e_rect <= 1.0):
             raise ValueError(f"e_rect must be in [0, 1], got {e_rect}")
-        ec_term = q_rect * params.error_correction_inefficiency * binary_entropy(e_rect)
+        ec_term = q_rect * error_correction_inefficiency * binary_entropy(e_rect)
     raw = q11_rect * (1.0 - binary_entropy(e11_diag)) - ec_term
     return KeyRateValue(raw=raw, clamped=max(raw, 0.0))
 
 
-def arm_lengths(total_km: float, placement) -> tuple[float, float]:
+def arm_lengths(total_km: float, placement: float) -> tuple[float, float]:
     """Split a total Alice-to-Bob distance according to the relay placement.
 
-    placement is "midpoint", "at-alice", or a float fraction f in [0, 1]
-    giving Alice's share of the distance (L_A = f * L).
+    placement is Alice's share f in [0, 1] of the distance (L_A = f * L):
+    0.5 puts the relay at the midpoint, 0 at Alice.
     """
     if total_km < 0:
         raise ValueError("distance must be >= 0")
-    if placement == "midpoint":
-        fraction = 0.5
-    elif placement == "at-alice":
-        fraction = 0.0
-    else:
-        fraction = float(placement)
-        if not (0.0 <= fraction <= 1.0):
-            raise ValueError(f"arm fraction must be in [0, 1], got {fraction}")
-    return fraction * total_km, (1.0 - fraction) * total_km
+    if not (0.0 <= placement <= 1.0):
+        raise ValueError(f"placement must be in [0, 1], got {placement}")
+    return placement * total_km, (1.0 - placement) * total_km
 
 
 @dataclass(frozen=True)
@@ -127,12 +114,12 @@ class ScanPoint:
 
 @dataclass(frozen=True)
 class SystemModel:
-    """Everything fixed across a scan: relay network, detectors, fiber, rate params."""
+    """Everything fixed across a scan: relay network, detectors, fiber, and f."""
 
     network: NetworkConfig = NetworkConfig()
     detector: DetectorModel = DetectorModel()
     attenuation_db_per_km: float = 0.2
-    params: KeyRateParams = field(default_factory=KeyRateParams)
+    error_correction_inefficiency: float = 1.16
 
     @cached_property
     def transfer_matrix(self) -> np.ndarray:
@@ -163,7 +150,7 @@ class _DistanceTerms:
 
 
 def arm_transmittances(system: SystemModel, distance_km: float,
-                       placement) -> tuple[float, float]:
+                       placement: float) -> tuple[float, float]:
     """Transmittances (t_A, t_B) of the two fiber arms at a total distance."""
     att = system.attenuation_db_per_km
     if att < 0:
@@ -172,7 +159,7 @@ def arm_transmittances(system: SystemModel, distance_km: float,
     return 10.0 ** (-att * la / 10.0), 10.0 ** (-att * lb / 10.0)
 
 
-def _distance_terms(system: SystemModel, distance_km: float, placement) -> _DistanceTerms:
+def _distance_terms(system: SystemModel, distance_km: float, placement: float) -> _DistanceTerms:
     ta, tb = arm_transmittances(system, distance_km, placement)
     rect_sent = loss_adjusted_table(system.single_photon_relay_tables[Basis.RECT], ta, tb)
     diag_sent = loss_adjusted_table(system.single_photon_relay_tables[Basis.DIAG], ta, tb)
@@ -188,6 +175,8 @@ def _bound_terms(system: SystemModel, terms, mus_a, mus_b):
     terms[i].  The kernel and the bit-pair reduction are batch-invariant, so
     an entry's values do not depend on the entries around it.  Yields
     (terms, mu_a, mu_b, q11_rect, q_rect, e_rect, KeyRateValue) per entry.
+    Raises NumericalFailure where q_rect has underflowed to 0 while q11_rect
+    has not (no dark counts): that zero is rounding, not a lack of clicks.
     """
     mus_a, mus_b = np.asarray(mus_a, dtype=float), np.asarray(mus_b, dtype=float)
     t_a = np.array([t.t_a for t in terms])
@@ -201,8 +190,11 @@ def _bound_terms(system: SystemModel, terms, mus_a, mus_b):
         # No diagonal-basis successes at all: the rate is zero regardless.
         e11_for_rate = 0.0 if math.isnan(t.e11) else t.e11
         q11_rect = q11(mu_a, mu_b, t.y11)
+        if gain == 0.0 < q11_rect:
+            raise NumericalFailure(f"q_rect underflows to 0 at {t.distance_km:g} km")
         yield t, mu_a, mu_b, q11_rect, gain, qber, key_rate(
-            q11_rect, e11_for_rate, gain, None if math.isnan(qber) else qber, system.params)
+            q11_rect, e11_for_rate, gain, None if math.isnan(qber) else qber,
+            system.error_correction_inefficiency)
 
 
 def _optimal_mus(system: SystemModel, terms: list[_DistanceTerms], grid) -> np.ndarray:
@@ -248,7 +240,7 @@ def _optimal_mus(system: SystemModel, terms: list[_DistanceTerms], grid) -> np.n
     return np.where(top, mus_seen, np.inf).min(axis=1)
 
 
-def _rate_points(system: SystemModel, distances, placement, *, grid=None,
+def _rate_points(system: SystemModel, distances, placement: float, *, grid=None,
                  fixed_intensities: tuple[float, float] | None = None) -> list[ScanPoint]:
     """The rate at each distance, at the fixed intensity pair if given, else optimized.
 
@@ -271,36 +263,23 @@ def _rate_points(system: SystemModel, distances, placement, *, grid=None,
     ]
 
 
-def evaluate_point(system: SystemModel, distance_km: float, mu_a: float, mu_b: float,
-                   placement="midpoint") -> ScanPoint:
-    """Evaluate every term of the rate bound at one distance and intensity pair."""
-    return _rate_points(system, [distance_km], placement,
-                        fixed_intensities=(mu_a, mu_b))[0]
-
-
 def default_intensity_grid() -> np.ndarray:
     lo, hi, n = DEFAULT_OPT_GRID
     return np.geomspace(lo, hi, n)
 
 
-def optimize_intensity(system: SystemModel, distance_km: float, placement="midpoint",
-                       *, grid=None) -> ScanPoint:
-    """Maximize the clamped rate over mu_a = mu_b at one distance.
-
-    Grid search over a log-spaced grid, evaluated in one batch, followed by
-    a golden-section refinement of GOLDEN_ITERS steps around the best grid
-    point.  Ties break toward smaller mu, so a distance beyond cutoff
-    deterministically returns the smallest grid intensity with rate zero.
-    This is the one-distance case of the array search that distance_scan
-    and find_cutoff run over many distances at once.
-    """
-    return _rate_points(system, [distance_km], placement, grid=grid)[0]
-
-
-def distance_scan(system: SystemModel, distances, placement="midpoint", *,
+def distance_scan(system: SystemModel, distances, placement: float = 0.5, *,
                   fixed_intensities: tuple[float, float] | None = None,
                   grid=None) -> list[ScanPoint]:
-    """Evaluate the rate at each distance, optimizing mu unless fixed."""
+    """Evaluate the rate at each distance, optimizing mu unless fixed.
+
+    Without fixed intensities, each distance maximizes the clamped rate over
+    mu_a = mu_b: a search over the log-spaced grid (the default one unless
+    given), then a golden-section refinement of GOLDEN_ITERS steps around
+    the best grid point.  Ties break toward smaller mu, so a distance beyond
+    cutoff deterministically returns the smallest grid intensity with rate
+    zero.  A distance's result does not depend on the other distances.
+    """
     ds = [float(d) for d in distances]
     if not ds:
         raise ValueError("distance list is empty")
@@ -311,7 +290,7 @@ def distance_scan(system: SystemModel, distances, placement="midpoint", *,
     return _rate_points(system, ds, placement, grid=grid, fixed_intensities=fixed_intensities)
 
 
-def find_cutoff(system: SystemModel, placement="midpoint", *, lo_km: float = 0.0,
+def find_cutoff(system: SystemModel, placement: float = 0.5, *, lo_km: float = 0.0,
                 hi_km: float = 500.0, tol_km: float = 0.25, grid=None,
                 fixed_intensities: tuple[float, float] | None = None) -> float:
     """Distance beyond lo_km at which the rate reaches zero, by bisection.

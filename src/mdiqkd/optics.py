@@ -106,33 +106,23 @@ class NetworkConfig:
     amplitudes of the two rotations add coherently along the path through
     both, which triples the single-photon-pair error instead of summing
     the per-rotation fractions.
-
-    Two beam-splitter sign conventions are supported ("real": transmit
-    +sqrt(1-r), one reflection -sqrt(r); "symmetric": i*sqrt(r) on both
-    reflections).  Physical probabilities do not depend on the choice.
     """
 
     input_rotation_rad: float = 0.0
     output_rotation_rad: float = 0.0
-    bs_reflectivity: float = 0.5
-    bs_convention: str = "real"
 
     def __post_init__(self):
-        if not (0.0 <= self.bs_reflectivity <= 1.0):
-            raise ValueError(f"bs_reflectivity must be in [0, 1], got {self.bs_reflectivity}")
         for name in ("input_rotation_rad", "output_rotation_rad"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.bs_convention not in ("real", "symmetric"):
-            raise ValueError(f"unknown bs_convention {self.bs_convention!r}")
 
     @classmethod
-    def from_misalignment(cls, total_fraction: float, **kwargs) -> "NetworkConfig":
+    def from_misalignment(cls, total_fraction: float) -> "NetworkConfig":
         """Split a total misalignment fraction evenly over the two rotations."""
         if not (0.0 <= total_fraction <= 1.0):
             raise ValueError(f"misalignment fraction must be in [0, 1], got {total_fraction}")
         angle = math.asin(math.sqrt(total_fraction / 2.0))
-        return cls(input_rotation_rad=angle, output_rotation_rad=-angle, **kwargs)
+        return cls(input_rotation_rad=angle, output_rotation_rad=-angle)
 
 
 def _as_four(value, name: str) -> tuple[float, float, float, float]:
@@ -178,18 +168,6 @@ class DetectorModel:
         return np.array(self.dark_prob)
 
 
-@dataclass(frozen=True)
-class SourcePulse:
-    """A phase-randomized weak coherent pulse in one of the four BB84 states."""
-
-    polarization: Polarization
-    mean_photon_number: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mean_photon_number) and self.mean_photon_number >= 0.0):
-            raise ValueError(f"mean photon number must be finite and >= 0, got {self.mean_photon_number}")
-
-
 def _rotation(theta: float) -> np.ndarray:
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, s], [-s, c]], dtype=complex)
@@ -203,13 +181,10 @@ def build_network(cfg: NetworkConfig) -> np.ndarray:
     then the polarizing beam splitters route (port, polarization) to the
     detector modes, which is the identity in the chosen ordering.
     """
-    r = cfg.bs_reflectivity
-    t_amp = math.sqrt(1.0 - r)
-    r_amp = math.sqrt(r)
-    if cfg.bs_convention == "real":
-        bs = np.array([[t_amp, r_amp], [-r_amp, t_amp]], dtype=complex)
-    else:
-        bs = np.array([[t_amp, 1j * r_amp], [1j * r_amp, t_amp]], dtype=complex)
+    # A fixed 50:50 splitter: transmission +1/sqrt(2), Alice's reflection
+    # -1/sqrt(2).  The amplitude is math.sqrt(0.5), one ulp above _SQRT_HALF.
+    amp = math.sqrt(0.5)
+    bs = np.array([[amp, amp], [-amp, amp]], dtype=complex)
     eye2 = np.eye(2, dtype=complex)
 
     rot_in = np.zeros((N_MODES, N_MODES), dtype=complex)
@@ -237,23 +212,13 @@ def assert_unitary(u: np.ndarray, tol: float = 1e-10) -> None:
         raise ValueError(f"transfer matrix is not unitary (defect {defect:.3e} > {tol:.0e})")
 
 
-@lru_cache(maxsize=None)
-def phase_quadrature(n_nodes: int = 64) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes on [0, 2pi) and weights normalized to average.
-
-    The integrands are entire in exp(i*phi), so 64 nodes already reach
-    machine precision; doubling the node count is a cheap convergence check.
-    """
-    if n_nodes < 2:
-        raise ValueError("need at least 2 quadrature nodes")
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    phases = math.pi * (x + 1.0)
-    weights = w / 2.0
-    return _readonly(phases), _readonly(weights)
-
-
-# The 64-node rule of every phase average, here and in hom: (phases, weights).
-PHASE_RULE = phase_quadrature(64)
+# The phase rule of every phase average, here and in hom: Gauss-Legendre
+# (phases, weights) on [0, 2pi), the weights normalized to average.  The
+# integrands are entire in exp(i*phi), so 64 nodes already reach machine
+# precision.
+_x, _w = np.polynomial.legendre.leggauss(64)
+PHASE_RULE = (_readonly(math.pi * (_x + 1.0)), _readonly(_w / 2.0))
+del _x, _w
 _PHASE_ROTATION = _readonly(np.exp(1j * PHASE_RULE[0]))
 
 
@@ -275,16 +240,6 @@ def _success_probs(p: np.ndarray) -> np.ndarray:
     success[..., 0] = p0 * q1 * q2 * p3 + q0 * p1 * p2 * q3
     success[..., 1] = p0 * p1 * q2 * q3 + q0 * q1 * p2 * p3
     return success
-
-
-def _with_failure(success: np.ndarray) -> dict[BsmOutcome, float]:
-    """The outcome dict of one (P(psi-), P(psi+)) pair; failure is the rest."""
-    psi_minus, psi_plus = success.tolist()
-    return {
-        BsmOutcome.PSI_MINUS: psi_minus,
-        BsmOutcome.PSI_PLUS: psi_plus,
-        BsmOutcome.FAIL: 1.0 - psi_minus - psi_plus,
-    }
 
 
 # The coherent kernel holds this many intensities' amplitudes at a time.  It
@@ -352,22 +307,6 @@ def _coherent_success_probs(mu_a, mu_b, pairs, u: np.ndarray, det: DetectorModel
         # A view with the detector axis first (np.moveaxis costs more per call).
         out[chunk] = np.matmul(weights, _success_probs(p.transpose(2, 0, 1, 3)))
     return out
-
-
-def coherent_outcome_probs(
-    alice: SourcePulse,
-    bob: SourcePulse,
-    u: np.ndarray,
-    det: DetectorModel,
-) -> dict[BsmOutcome, float]:
-    """Outcome probabilities for two phase-randomized coherent pulses.
-
-    One intensity and pair of coherent_success_probs; the failure
-    probability is the rest, 1 - P(psi-) - P(psi+).
-    """
-    return _with_failure(coherent_success_probs(
-        alice.mean_photon_number, bob.mean_photon_number,
-        ((alice.polarization, bob.polarization),), u, det)[0, 0])
 
 
 @lru_cache(maxsize=None)
@@ -445,19 +384,3 @@ def fock_success_probs(
         p_click = 1.0 - (1.0 - det.darks)[None, :] * survival
         out[k] = probs @ _success_probs(p_click.T)
     return out
-
-
-def fock_outcome_probs(
-    n: int,
-    pol_a: Polarization,
-    m: int,
-    pol_b: Polarization,
-    u: np.ndarray,
-    det: DetectorModel,
-) -> dict[BsmOutcome, float]:
-    """Exact outcome probabilities for photon-number inputs (n from Alice, m from Bob).
-
-    One pair of fock_success_probs; the failure probability is the rest,
-    1 - P(psi-) - P(psi+).
-    """
-    return _with_failure(fock_success_probs(n, m, ((pol_a, pol_b),), u, det)[0])

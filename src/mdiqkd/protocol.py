@@ -12,7 +12,6 @@ who flips.  The four bit pairs within a basis are taken equiprobable.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -23,6 +22,7 @@ from .optics import (
     BsmOutcome,
     DetectorModel,
     Polarization,
+    _readonly,
     coherent_success_probs,
     fock_success_probs,
 )
@@ -111,8 +111,8 @@ class YieldErrorTable:
             raise ValueError("error entries must be undefined (NaN) where the yield is zero")
         y = np.clip(y, 0.0, 1.0)
         e = np.where(defined, np.clip(e, 0.0, 1.0), np.nan)
-        object.__setattr__(self, "yields", _frozen(y))
-        object.__setattr__(self, "errors", _frozen(e))
+        object.__setattr__(self, "yields", _readonly(y))
+        object.__setattr__(self, "errors", _readonly(e))
 
     @property
     def error_defined(self) -> np.ndarray:
@@ -130,25 +130,6 @@ class YieldErrorTable:
             "yields": self.yields.tolist(),
             "errors": errors,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "YieldErrorTable":
-        errors = np.array(
-            [[math.nan if v is None else float(v) for v in row] for row in data["errors"]])
-        return cls(
-            basis=Basis(data["basis"]),
-            n_max=int(data["n_max"]),
-            yields=np.array(data["yields"], dtype=float),
-            errors=errors,
-        )
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **kwargs)
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 def _bit_pairs(basis: Basis):

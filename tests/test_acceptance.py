@@ -19,7 +19,6 @@ from mdiqkd.decoy import (
 )
 from mdiqkd.hom import HomParams, coincidence_point, hom_scan
 from mdiqkd.keyrate import (
-    KeyRateParams,
     SystemModel,
     binary_entropy,
     distance_scan,
@@ -31,9 +30,8 @@ from mdiqkd.optics import (
     DetectorModel,
     NetworkConfig,
     build_network,
-    coherent_outcome_probs,
-    fock_outcome_probs,
-    SourcePulse,
+    coherent_success_probs,
+    fock_success_probs,
 )
 from mdiqkd.protocol import (
     BASIS_STATES,
@@ -79,24 +77,21 @@ def test_criterion_2_oracle_equivalence():
     mus = (0.05, 0.1, 0.2)
     pairs = [(pa, pb) for basis in Basis
              for pa in BASIS_STATES[basis] for pb in BASIS_STATES[basis]]
+    mus_a, mus_b = np.repeat(mus, len(mus)), np.tile(mus, len(mus))
     worst = 0.0
     for net in (NetworkConfig(), REF_NET):
         u = build_network(net)
-        for pa, pb in pairs:
-            fock = {
-                (n, m): fock_outcome_probs(n, pa, m, pb, u, REF_DET)
-                for n in range(n_top + 1) for m in range(n_top + 1)
-            }
-            for mu_a in mus:
-                wa = poisson_weights(mu_a, n_top)
-                for mu_b in mus:
-                    wb = poisson_weights(mu_b, n_top)
-                    coh = coherent_outcome_probs(
-                        SourcePulse(pa, mu_a), SourcePulse(pb, mu_b), u, REF_DET)
-                    for outcome in BsmOutcome:
-                        mix = sum(wa[n] * wb[m] * fock[(n, m)][outcome]
-                                  for n in range(n_top + 1) for m in range(n_top + 1))
-                        worst = max(worst, abs(mix - coh[outcome]))
+        # (psi-, psi+) of every photon-number pair and polarization pair,
+        # then the failure probability 1 - psi- - psi+ as a third outcome.
+        fock = np.array([[fock_success_probs(n, m, pairs, u, REF_DET)
+                          for m in range(n_top + 1)] for n in range(n_top + 1)])
+        fock = np.concatenate([fock, 1.0 - fock.sum(axis=-1, keepdims=True)], axis=-1)
+        coh = coherent_success_probs(mus_a, mus_b, pairs, u, REF_DET)
+        coh = np.concatenate([coh, 1.0 - coh.sum(axis=-1, keepdims=True)], axis=-1)
+        for mu_a, mu_b, coh_entry in zip(mus_a, mus_b, coh):
+            wa, wb = poisson_weights(mu_a, n_top), poisson_weights(mu_b, n_top)
+            mix = np.einsum("n,m,nmko->ko", wa, wb, fock)
+            worst = max(worst, float(np.abs(mix - coh_entry).max()))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-6 and elapsed < 120.0
     report(2, "coherent model vs photon-number oracle", ok,
@@ -127,8 +122,8 @@ def test_criterion_3_rate_curve_reproduction():
 
 
 def test_criterion_4_distance_doubling():
-    cut_mid = find_cutoff(REF_SYSTEM, "midpoint")
-    cut_alice = find_cutoff(REF_SYSTEM, "at-alice")
+    cut_mid = find_cutoff(REF_SYSTEM, 0.5)  # relay at the midpoint
+    cut_alice = find_cutoff(REF_SYSTEM, 0.0)  # relay at Alice
     ratio = cut_mid / cut_alice
     ok = 1.8 <= ratio <= 2.2
     report(4, "midpoint-vs-at-alice cutoff ratio", ok,
@@ -236,7 +231,7 @@ def test_criterion_7_rate_formula_identities():
         return (-x * math.log(x) - (1 - x) * math.log(1 - x)) / math.log(2)
 
     q11_v, e11, q, e, f = 0.01, 0.02, 0.012, 0.015, 1.16
-    dual = abs(key_rate(q11_v, e11, q, e, KeyRateParams()).raw
+    dual = abs(key_rate(q11_v, e11, q, e, f).raw
                - (q11_v * (1 - reference_entropy(e11)) - q * f * reference_entropy(e)))
     entropy_ok = binary_entropy(0.0) == 0.0 and binary_entropy(0.5) == 1.0
     ok = identity and dual <= 1e-12 and entropy_ok
@@ -255,8 +250,8 @@ def test_criterion_8_sifting_end_to_end():
     for basis in Basis:
         for pa in BASIS_STATES[basis]:
             for pb in BASIS_STATES[basis]:
-                p = fock_outcome_probs(1, pa, 1, pb, IDEAL, DET0)
-                dist[(basis, pa, pb)] = (p[BsmOutcome.PSI_MINUS], p[BsmOutcome.PSI_PLUS])
+                dist[(basis, pa, pb)] = tuple(
+                    fock_success_probs(1, 1, ((pa, pb),), IDEAL, DET0)[0])
     kept = {Basis.RECT: ([], []), Basis.DIAG: ([], [])}
     total = 0
     while total < 10_000:

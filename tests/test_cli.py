@@ -16,7 +16,7 @@ from mdiqkd import cli
 from mdiqkd.cli import build_parser, main
 from mdiqkd.config import RunConfig
 from mdiqkd.decoy import IntensityGrid, observed_from_model
-from mdiqkd.keyrate import evaluate_point, optimize_intensity
+from mdiqkd.keyrate import distance_scan
 from mdiqkd.protocol import Basis
 
 FAST = ["--opt-grid-points", "12", "--distances-km", "0,100,200"]
@@ -176,8 +176,8 @@ class TestKeyrateCommand:
         assert "cutoff_km = 87.14" in stdout
 
     def test_dark_count_free_underflow_is_not_a_cutoff(self, tmp_path, capsys):
-        # Without dark counts the rate stays positive until q_rect underflows
-        # to 0 near 16,000 km; that is no cutoff.
+        # Without dark counts the rate stays positive until q_rect rounds to
+        # 0 (by 2,000 km in the cutoff search); that is no cutoff.
         out = tmp_path / "scan.csv"
         code, stdout, stderr = run(["keyrate", "--dark-count-prob=0", "--intensity-mode=fixed",
                                     "--distances-km=0,20000", "--out", str(out)], capsys)
@@ -200,11 +200,9 @@ class TestKeyrateCommand:
         code, stdout, _ = run(argv + ["--out", str(tmp_path / "scan.csv")], capsys)
         assert code == 0
         config = cli.resolve_config(build_parser(argv).parse_args(argv))
-        system, placement = config.system(), config.placement()
-        if mode:
-            point = evaluate_point(system, 160.0, 0.2, 0.4, placement)
-        else:
-            point = optimize_intensity(system, 160.0, placement)
+        fixed = (0.2, 0.4) if mode else None
+        (point,) = distance_scan(config.system(), [160.0], config.placement(),
+                                 fixed_intensities=fixed)
         assert f"rate_at_40db_loss = {point.key_rate:.6e} (distance 160 km)" in stdout
 
 

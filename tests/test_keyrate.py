@@ -8,19 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdiqkd.cli import KEYRATE_COLUMNS, build_parser, main, resolve_config
+from mdiqkd.config import RunConfig
 from mdiqkd.decoy import q11
 from mdiqkd.errors import NumericalFailure
 from mdiqkd.keyrate import (
-    KeyRateParams,
     SystemModel,
     arm_lengths,
     arm_transmittances,
     binary_entropy,
     distance_scan,
-    evaluate_point,
     find_cutoff,
     key_rate,
-    optimize_intensity,
 )
 from mdiqkd.optics import DetectorModel, NetworkConfig
 
@@ -29,6 +27,13 @@ REF_SYSTEM = SystemModel(
     detector=DetectorModel(efficiency=0.145, dark_prob=6.02e-6),
 )
 IDEAL_SYSTEM = SystemModel(network=NetworkConfig(), detector=DetectorModel())
+
+
+def placement_id(value):
+    """Test ids name the relay positions that the shares 0.5 and 0 stand for."""
+    if isinstance(value, float):
+        return {0.5: "midpoint", 0.0: "at-alice"}.get(value)
+    return None
 
 
 def entropy_reference(x):
@@ -75,9 +80,8 @@ class TestKeyRateFormula:
         assert r.clamped == 0.0
 
     def test_dual_path_agreement(self):
-        params = KeyRateParams()
         q11_v, e11, q, e = 0.01, 0.02, 0.012, 0.015
-        got = key_rate(q11_v, e11, q, e, params).raw
+        got = key_rate(q11_v, e11, q, e, 1.16).raw
         independent = (q11_v * (1.0 - entropy_reference(e11))
                        - q * 1.16 * entropy_reference(e))
         assert got == pytest.approx(independent, abs=1e-12)
@@ -90,10 +94,12 @@ class TestKeyRateFormula:
         with pytest.raises(ValueError):
             key_rate(0.01, 0.0, 0.02, None)  # undefined E with nonzero gain
         assert key_rate(0.0, 0.0, 0.0, None).raw == 0.0
+        with pytest.raises(ValueError):
+            key_rate(1e-300, 0.0, 0.0, None)  # a positive q11 with no gain at all
 
     def test_inefficiency_validation(self):
         with pytest.raises(ValueError):
-            KeyRateParams(error_correction_inefficiency=0.9)
+            key_rate(0.01, 0.0, 0.02, 0.0, 0.9)
 
 
 class TestChannel:
@@ -103,25 +109,31 @@ class TestChannel:
         assert t_b == pytest.approx(10 ** -2.0)
         with pytest.raises(ValueError):
             arm_transmittances(dataclasses.replace(REF_SYSTEM, attenuation_db_per_km=-0.1),
-                               10.0, "midpoint")
+                               10.0, 0.5)
 
     def test_arm_lengths(self):
-        assert arm_lengths(100.0, "midpoint") == (50.0, 50.0)
-        assert arm_lengths(100.0, "at-alice") == (0.0, 100.0)
+        assert RunConfig(relay_position="midpoint").placement() == 0.5
+        assert RunConfig(relay_position="at-alice").placement() == 0.0
+        assert RunConfig(relay_position="custom", arm_length_a_km=3.0,
+                         arm_length_b_km=7.0).placement() == 0.3
+        assert arm_lengths(100.0, 0.5) == (50.0, 50.0)
+        assert arm_lengths(100.0, 0.0) == (0.0, 100.0)
         assert arm_lengths(100.0, 0.25) == (25.0, 75.0)
         with pytest.raises(ValueError):
-            arm_lengths(-1.0, "midpoint")
-        with pytest.raises(ValueError):
-            arm_lengths(10.0, 1.5)
+            arm_lengths(-1.0, 0.5)
+        for share in (-0.1, 1.1):
+            with pytest.raises(ValueError):
+                arm_lengths(10.0, share)
 
 
 def reference_optimize(system, distance_km, placement, golden_iters=40, grid=None):
-    """Grid then golden-section search, one scalar evaluate_point per intensity."""
+    """Grid then golden-section search, one one-point scan per intensity."""
     mus = np.geomspace(0.005, 1.0, 40) if grid is None else np.asarray(grid, dtype=float)
     evaluated = []
 
     def rate_at(mu):
-        r = evaluate_point(system, distance_km, mu, mu, placement).key_rate
+        (point,) = distance_scan(system, [distance_km], placement, fixed_intensities=(mu, mu))
+        r = point.key_rate
         evaluated.append((mu, r))
         return r
 
@@ -147,14 +159,16 @@ def reference_optimize(system, distance_km, placement, golden_iters=40, grid=Non
                 fd = rate_at(d)
     best = max(r for _, r in evaluated)
     best_mu = min(mu for mu, r in evaluated if r == best)
-    return evaluate_point(system, distance_km, best_mu, best_mu, placement)
+    (point,) = distance_scan(system, [distance_km], placement,
+                             fixed_intensities=(best_mu, best_mu))
+    return point
 
 
 class TestEvaluatePoint:
     def test_ideal_rate_equals_q11(self):
         # Perfect devices at zero distance: no errors in either basis, so the
         # bound collapses to the single-photon-pair gain exactly.
-        pt = evaluate_point(IDEAL_SYSTEM, 0.0, 0.1, 0.1)
+        (pt,) = distance_scan(IDEAL_SYSTEM, [0.0], fixed_intensities=(0.1, 0.1))
         assert pt.e11_diag == pytest.approx(0.0, abs=1e-12)
         assert pt.e_rect == pytest.approx(0.0, abs=1e-12)
         assert pt.key_rate_raw == pytest.approx(q11(0.1, 0.1, 0.5), abs=1e-15)
@@ -162,7 +176,7 @@ class TestEvaluatePoint:
     def test_reference_point_regression(self):
         # Frozen from the first full-model evaluation (reference parameters,
         # zero distance, mu = 0.1).
-        pt = evaluate_point(REF_SYSTEM, 0.0, 0.1, 0.1)
+        (pt,) = distance_scan(REF_SYSTEM, [0.0], fixed_intensities=(0.1, 0.1))
         assert pt.q11_rect == pytest.approx(8.577075756977628e-05, rel=1e-9)
         assert pt.e11_diag == pytest.approx(0.007646299108672358, rel=1e-9)
         assert pt.q_rect == pytest.approx(1.043640350323243e-04, rel=1e-9)
@@ -172,7 +186,7 @@ class TestEvaluatePoint:
     def test_q11_consistent_with_formula(self):
         from mdiqkd.protocol import Basis, loss_adjusted_table
 
-        pt = evaluate_point(REF_SYSTEM, 80.0, 0.2, 0.3)
+        (pt,) = distance_scan(REF_SYSTEM, [80.0], fixed_intensities=(0.2, 0.3))
         t = 10 ** (-0.2 * 40.0 / 10.0)
         sent = loss_adjusted_table(
             REF_SYSTEM.single_photon_relay_tables[Basis.RECT], t, t)
@@ -181,48 +195,46 @@ class TestEvaluatePoint:
         assert pt.q_rect >= pt.q11_rect
 
     def test_rate_positive_at_reference_40db(self):
-        pt = optimize_intensity(REF_SYSTEM, 200.0)
+        (pt,) = distance_scan(REF_SYSTEM, [200.0])
         assert pt.key_rate > 0.0
         assert pt.key_rate == pytest.approx(3.2671540278323395e-09, rel=1e-6)
 
 
 class TestOptimization:
     def test_optimum_regressions(self):
-        p0 = optimize_intensity(REF_SYSTEM, 0.0)
+        p0, p100 = distance_scan(REF_SYSTEM, [0.0, 100.0])
         assert p0.mu_a == p0.mu_b
         assert p0.mu_a == pytest.approx(0.6033361418677428, abs=1e-4)
         assert p0.key_rate == pytest.approx(6.152191331345823e-04, rel=1e-6)
-        p100 = optimize_intensity(REF_SYSTEM, 100.0)
         assert p100.mu_a == pytest.approx(0.5497117002962282, abs=1e-4)
         assert p100.key_rate == pytest.approx(5.0307626628608324e-06, rel=1e-6)
 
     def test_beyond_cutoff_returns_smallest_grid_mu(self):
         grid = np.geomspace(0.005, 1.0, 40)
-        pt = optimize_intensity(REF_SYSTEM, 320.0, grid=grid)
+        (pt,) = distance_scan(REF_SYSTEM, [320.0], grid=grid)
         assert pt.key_rate == 0.0
         assert pt.mu_a == pytest.approx(grid[0])
 
     def test_rate_grows_with_efficiency(self):
         low = SystemModel(network=NetworkConfig(), detector=DetectorModel(0.3))
         high = SystemModel(network=NetworkConfig(), detector=DetectorModel(0.6))
-        assert (optimize_intensity(high, 0.0).key_rate
-                > optimize_intensity(low, 0.0).key_rate)
+        assert distance_scan(high, [0.0])[0].key_rate > distance_scan(low, [0.0])[0].key_rate
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            optimize_intensity(REF_SYSTEM, 0.0, grid=np.array([]))
+            distance_scan(REF_SYSTEM, [0.0], grid=np.array([]))
 
-    @pytest.mark.parametrize("placement", ["midpoint", "at-alice", 0.3])
+    @pytest.mark.parametrize("placement", [0.5, 0.0, 0.3], ids=placement_id)
     @pytest.mark.parametrize("distance", [0.0, 100.0, 250.0])
     def test_matches_scalar_reference_loop(self, placement, distance):
         # The batched grid pass and the stored best point must reproduce the
         # point-by-point search exactly.
-        got = optimize_intensity(REF_SYSTEM, distance, placement)
+        (got,) = distance_scan(REF_SYSTEM, [distance], placement)
         ref = reference_optimize(REF_SYSTEM, distance, placement)
         assert list(map(repr, dataclasses.astuple(got))) == \
             list(map(repr, dataclasses.astuple(ref)))
 
-    @pytest.mark.parametrize("placement", ["midpoint", "at-alice", 0.3])
+    @pytest.mark.parametrize("placement", [0.5, 0.0, 0.3], ids=placement_id)
     @pytest.mark.parametrize("distances,grid", [
         ([0.0, 100.0, 250.0, 320.0], None),   # 320 km lies past every cutoff
         ([0.0, 37.5, 75.0, 150.0], np.geomspace(0.01, 0.8, 7)),
@@ -245,9 +257,9 @@ class TestOptimization:
     def test_refinement_beats_dense_grid(self):
         # the golden refinement must find at least as much rate as a dense
         # brute-force grid around the optimum
-        found = optimize_intensity(REF_SYSTEM, 100.0).key_rate
+        found = distance_scan(REF_SYSTEM, [100.0])[0].key_rate
         dense = max(
-            evaluate_point(REF_SYSTEM, 100.0, mu, mu).key_rate
+            distance_scan(REF_SYSTEM, [100.0], fixed_intensities=(mu, mu))[0].key_rate
             for mu in np.linspace(0.3, 0.9, 400))
         assert found >= dense - 1e-12
 
@@ -285,6 +297,13 @@ class TestScan:
         positive_part = raw[: first_zero + 1]
         assert all(b < a for a, b in zip(positive_part, positive_part[1:]))
 
+    def test_q_rect_underflow_is_numerical_failure(self):
+        # Without dark counts, q_rect rounds to 0 at 15,000 km while q11_rect
+        # is still about 5e-304: that is no rate, and no zero of one either.
+        dark_free = dataclasses.replace(REF_SYSTEM, detector=DetectorModel(efficiency=0.145))
+        with pytest.raises(NumericalFailure, match="q_rect underflows to 0 at 15000 km"):
+            distance_scan(dark_free, [0.0, 15000.0], fixed_intensities=(0.3, 0.3))
+
     def test_clamp_bookkeeping(self):
         pts = distance_scan(REF_SYSTEM, [0.0, 250.0])
         for p in pts:
@@ -295,13 +314,12 @@ class TestScan:
                 assert p.key_rate == 0.0
 
 
-def sequential_cutoff(system, placement="midpoint", *, lo_km=0.0, hi_km=500.0,
+def sequential_cutoff(system, placement=0.5, *, lo_km=0.0, hi_km=500.0,
                       tol_km=0.25, fixed_intensities=None):
-    """Bisection with one probe at a time, each a one-distance rate evaluation."""
+    """Bisection with one probe at a time, each a one-distance scan."""
     def positive(d):
-        if fixed_intensities is None:
-            return optimize_intensity(system, d, placement).key_rate > 0.0
-        return evaluate_point(system, d, *fixed_intensities, placement).key_rate > 0.0
+        (point,) = distance_scan(system, [d], placement, fixed_intensities=fixed_intensities)
+        return point.key_rate > 0.0
 
     if not positive(lo_km):
         return lo_km
@@ -331,33 +349,33 @@ RISING_MU = (0.06302, 0.5925)
 
 class TestCutoff:
     @pytest.mark.parametrize("placement,kwargs", [
-        ("midpoint", {}),
-        ("at-alice", {}),
-        ("midpoint", {"fixed_intensities": (0.3, 0.3)}),
-        ("midpoint", {"lo_km": 150.0, "hi_km": 100.0, "fixed_intensities": (0.3, 0.3)}),
-        ("midpoint", {"lo_km": 150.0, "hi_km": 100.0}),
-        ("midpoint", {"tol_km": 1e-3, "fixed_intensities": (0.2, 0.2)}),
-    ])
+        (0.5, {}),
+        (0.0, {}),
+        (0.5, {"fixed_intensities": (0.3, 0.3)}),
+        (0.5, {"lo_km": 150.0, "hi_km": 100.0, "fixed_intensities": (0.3, 0.3)}),
+        (0.5, {"lo_km": 150.0, "hi_km": 100.0}),
+        (0.5, {"tol_km": 1e-3, "fixed_intensities": (0.2, 0.2)}),
+    ], ids=placement_id)
     def test_speculative_bisection_matches_sequential(self, placement, kwargs):
         assert find_cutoff(REF_SYSTEM, placement, **kwargs) == \
             sequential_cutoff(REF_SYSTEM, placement, **kwargs)
 
     def test_speculative_bisection_from_farthest_positive_distance(self):
-        scan = distance_scan(RISING_SYSTEM, [12.5 * i for i in range(25)], "at-alice",
+        scan = distance_scan(RISING_SYSTEM, [12.5 * i for i in range(25)], 0.0,
                              fixed_intensities=RISING_MU)
         assert scan[0].key_rate == 0.0
         farthest = max(p.distance_km for p in scan if p.key_rate > 0.0)
-        got = find_cutoff(RISING_SYSTEM, "at-alice", lo_km=farthest,
+        got = find_cutoff(RISING_SYSTEM, 0.0, lo_km=farthest,
                           fixed_intensities=RISING_MU)
-        assert got == sequential_cutoff(RISING_SYSTEM, "at-alice", lo_km=farthest,
+        assert got == sequential_cutoff(RISING_SYSTEM, 0.0, lo_km=farthest,
                                         fixed_intensities=RISING_MU)
         assert farthest < got < farthest + 12.5
 
     def test_reference_cutoffs(self):
-        cut_mid = find_cutoff(REF_SYSTEM, "midpoint")
+        cut_mid = find_cutoff(REF_SYSTEM, 0.5)
         assert 200.0 < cut_mid < 300.0
         assert cut_mid == pytest.approx(204.2, abs=1.0)
-        cut_alice = find_cutoff(REF_SYSTEM, "at-alice")
+        cut_alice = find_cutoff(REF_SYSTEM, 0.0)
         # Shorter than half the midpoint reach: the unattenuated pulse meets
         # the relay misalignment leakage head on (see the doubling analysis
         # in the acceptance suite).
@@ -365,19 +383,19 @@ class TestCutoff:
 
     def test_lo_km_beyond_hi_km(self):
         # The upper bracket is doubled until it lies beyond lo_km.
-        cut = find_cutoff(REF_SYSTEM, "midpoint", lo_km=150.0, hi_km=100.0,
+        cut = find_cutoff(REF_SYSTEM, 0.5, lo_km=150.0, hi_km=100.0,
                           fixed_intensities=(0.3, 0.3))
-        assert cut == pytest.approx(find_cutoff(REF_SYSTEM, "midpoint",
+        assert cut == pytest.approx(find_cutoff(REF_SYSTEM, 0.5,
                                                 fixed_intensities=(0.3, 0.3)), abs=0.25)
 
     def test_zero_rate_at_lo_km_returns_lo_km(self):
-        assert find_cutoff(REF_SYSTEM, "midpoint", lo_km=400.0,
+        assert find_cutoff(REF_SYSTEM, 0.5, lo_km=400.0,
                            fixed_intensities=(0.3, 0.3)) == 400.0
 
     def test_lossless_channel_is_numerical_failure(self):
         lossless = dataclasses.replace(REF_SYSTEM, attenuation_db_per_km=0.0)
         with pytest.raises(NumericalFailure, match="no cutoff"):
-            find_cutoff(lossless, "midpoint", fixed_intensities=(0.3, 0.3))
+            find_cutoff(lossless, 0.5, fixed_intensities=(0.3, 0.3))
 
 
 class TestSerialization:

@@ -7,19 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdiqkd.optics import (
+    PHASE_RULE,
     BsmOutcome,
     DetectorModel,
     NetworkConfig,
     Polarization,
-    SourcePulse,
     build_network,
     _success_probs,
     classify_pattern,
-    coherent_outcome_probs,
     coherent_success_probs,
-    fock_outcome_probs,
     fock_success_probs,
-    phase_quadrature,
     unitarity_defect,
 )
 
@@ -51,13 +48,9 @@ class TestNetwork:
         assert np.allclose(IDEAL, expected, atol=1e-15)
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi),
-        st.floats(0.0, 1.0),
-        st.sampled_from(["real", "symmetric"]),
-    )
-    def test_unitary_for_any_config(self, theta_in, theta_out, refl, conv):
-        u = build_network(NetworkConfig(theta_in, theta_out, refl, conv))
+    @given(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi))
+    def test_unitary_for_any_config(self, theta_in, theta_out):
+        u = build_network(NetworkConfig(theta_in, theta_out))
         assert unitarity_defect(u) < 1e-12
 
     def test_misalignment_split(self):
@@ -70,11 +63,9 @@ class TestNetwork:
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
-            NetworkConfig(bs_reflectivity=1.5)
-        with pytest.raises(ValueError):
             NetworkConfig(input_rotation_rad=math.inf)
         with pytest.raises(ValueError):
-            NetworkConfig(bs_convention="lossy")
+            NetworkConfig.from_misalignment(1.5)
 
 
 class TestClassification:
@@ -139,32 +130,36 @@ class TestClickRule:
 
 class TestFockOracle:
     def test_vacuum_fails(self):
-        p = fock_outcome_probs(0, Polarization.H, 0, Polarization.H, IDEAL, DET0)
-        assert p[BsmOutcome.FAIL] == 1.0
+        psi_minus, psi_plus = fock_success_probs(
+            0, 0, ((Polarization.H, Polarization.H),), IDEAL, DET0)[0]
+        assert 1.0 - psi_minus - psi_plus == 1.0
 
     def test_orthogonal_rect_pair(self):
         # Hand expansion of the two creation operators through the splitter:
         # four equal-weight patterns, two per Bell outcome.
-        p = fock_outcome_probs(1, Polarization.H, 1, Polarization.V, IDEAL, DET0)
-        assert p[BsmOutcome.PSI_MINUS] == pytest.approx(0.5, abs=1e-12)
-        assert p[BsmOutcome.PSI_PLUS] == pytest.approx(0.5, abs=1e-12)
-        assert p[BsmOutcome.FAIL] == pytest.approx(0.0, abs=1e-12)
+        psi_minus, psi_plus = fock_success_probs(
+            1, 1, ((Polarization.H, Polarization.V),), IDEAL, DET0)[0]
+        assert psi_minus == pytest.approx(0.5, abs=1e-12)
+        assert psi_plus == pytest.approx(0.5, abs=1e-12)
+        assert 1.0 - psi_minus - psi_plus == pytest.approx(0.0, abs=1e-12)
 
     def test_identical_diagonal_pair_bunches(self):
-        p = fock_outcome_probs(1, Polarization.D, 1, Polarization.D, IDEAL, DET0)
-        assert p[BsmOutcome.PSI_PLUS] == pytest.approx(0.5, abs=1e-12)
-        assert p[BsmOutcome.PSI_MINUS] == pytest.approx(0.0, abs=1e-12)
-        assert p[BsmOutcome.FAIL] == pytest.approx(0.5, abs=1e-12)
+        psi_minus, psi_plus = fock_success_probs(
+            1, 1, ((Polarization.D, Polarization.D),), IDEAL, DET0)[0]
+        assert psi_plus == pytest.approx(0.5, abs=1e-12)
+        assert psi_minus == pytest.approx(0.0, abs=1e-12)
+        assert 1.0 - psi_minus - psi_plus == pytest.approx(0.5, abs=1e-12)
 
     def test_orthogonal_diagonal_pair(self):
-        p = fock_outcome_probs(1, Polarization.D, 1, Polarization.A, IDEAL, DET0)
-        assert p[BsmOutcome.PSI_MINUS] == pytest.approx(0.5, abs=1e-12)
-        assert p[BsmOutcome.PSI_PLUS] == pytest.approx(0.0, abs=1e-12)
+        psi_minus, psi_plus = fock_success_probs(
+            1, 1, ((Polarization.D, Polarization.A),), IDEAL, DET0)[0]
+        assert psi_minus == pytest.approx(0.5, abs=1e-12)
+        assert psi_plus == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("pol", list(Polarization))
     def test_hom_forbids_singlet_for_identical_photons(self, pol):
-        p = fock_outcome_probs(1, pol, 1, pol, IDEAL, DET0)
-        assert abs(p[BsmOutcome.PSI_MINUS]) < 1e-12
+        psi_minus, _ = fock_success_probs(1, 1, ((pol, pol),), IDEAL, DET0)[0]
+        assert abs(psi_minus) < 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -174,21 +169,22 @@ class TestFockOracle:
         st.floats(-0.3, 0.3), st.floats(-0.3, 0.3),
     )
     def test_normalization(self, n, m, pol_a, pol_b, eta, dark, th_in, th_out):
+        # The two successes are disjoint events, so they sum to at most 1.
         u = build_network(NetworkConfig(th_in, th_out))
-        p = fock_outcome_probs(n, pol_a, m, pol_b, u, DetectorModel(eta, dark))
-        assert sum(p.values()) == pytest.approx(1.0, abs=1e-12)
+        p = fock_success_probs(n, m, ((pol_a, pol_b),), u, DetectorModel(eta, dark))[0]
+        assert np.all(p >= -1e-15) and p.sum() <= 1.0 + 1e-12
 
     def test_photon_guard(self):
-        p = fock_outcome_probs(4, Polarization.H, 1, Polarization.V, IDEAL, DET0)
-        assert sum(p.values()) == pytest.approx(1.0, abs=1e-12)
+        p = fock_success_probs(4, 1, ((Polarization.H, Polarization.V),), IDEAL, DET0)[0]
+        assert np.all(p >= -1e-15) and p.sum() <= 1.0 + 1e-12
         with pytest.raises(ValueError):
-            fock_outcome_probs(-1, Polarization.H, 0, Polarization.V, IDEAL, DET0)
+            fock_success_probs(-1, 0, ((Polarization.H, Polarization.V),), IDEAL, DET0)
 
     def test_rejects_non_unitary(self):
         bad = np.eye(4, dtype=complex)
         bad[0, 0] = 1.1
         with pytest.raises(ValueError, match="unitary"):
-            fock_outcome_probs(1, Polarization.H, 1, Polarization.V, bad, DET0)
+            fock_success_probs(1, 1, ((Polarization.H, Polarization.V),), bad, DET0)
 
     @pytest.mark.parametrize("n,m", [(0, 0), (1, 1), (3, 0), (2, 3)])
     def test_pairs_equal_one_pair_calls(self, n, m):
@@ -260,89 +256,98 @@ class TestPermanentOracle:
         pol_a, pol_b = pols
         det = DetectorModel(efficiency=0.7, dark_prob=1e-4)
         expected = permanent_oracle(n, pol_a, m, pol_b, U_REF, det)
-        got = fock_outcome_probs(n, pol_a, m, pol_b, U_REF, det)
-        for outcome in BsmOutcome:
-            assert got[outcome] == pytest.approx(expected[outcome], abs=1e-12)
+        psi_minus, psi_plus = fock_success_probs(n, m, ((pol_a, pol_b),), U_REF, det)[0]
+        assert psi_minus == pytest.approx(expected[BsmOutcome.PSI_MINUS], abs=1e-12)
+        assert psi_plus == pytest.approx(expected[BsmOutcome.PSI_PLUS], abs=1e-12)
+        assert 1.0 - psi_minus - psi_plus == pytest.approx(expected[BsmOutcome.FAIL], abs=1e-12)
+
+
+def symmetric_convention_matrix(net):
+    """The relay matrix with i/sqrt(2) on both splitter reflections.
+
+    build_network uses a real splitter (one reflection -1/sqrt(2)); this
+    composes the same rotations around the symmetric one.
+    """
+    amp = math.sqrt(0.5)
+    bs = np.array([[amp, 1j * amp], [1j * amp, amp]])
+
+    def rotation(theta):
+        return np.array([[math.cos(theta), math.sin(theta)], [-math.sin(theta), math.cos(theta)]])
+
+    rot_in, rot_out = np.eye(4, dtype=complex), np.eye(4, dtype=complex)
+    rot_in[2:4, 2:4] = rotation(net.input_rotation_rad)
+    rot_out[0:2, 0:2] = rotation(net.output_rotation_rad)
+    return rot_out @ np.kron(bs, np.eye(2)) @ rot_in
 
 
 class TestCoherentModel:
     def test_no_light_no_dark_fails(self):
-        p = coherent_outcome_probs(SourcePulse(Polarization.H, 0.0),
-                                   SourcePulse(Polarization.V, 0.0), IDEAL, DET0)
-        assert p[BsmOutcome.FAIL] == pytest.approx(1.0, abs=1e-12)
-        assert p[BsmOutcome.PSI_MINUS] == 0.0
+        psi_minus, psi_plus = coherent_success_probs(
+            0.0, 0.0, ((Polarization.H, Polarization.V),), IDEAL, DET0)[0, 0]
+        assert 1.0 - psi_minus - psi_plus == pytest.approx(1.0, abs=1e-12)
+        assert psi_minus == 0.0
 
     def test_identical_rect_never_succeeds_ideal(self):
         # No vertical amplitude exists anywhere, and every success pattern
         # needs a V detector.
-        p = coherent_outcome_probs(SourcePulse(Polarization.H, 0.3),
-                                   SourcePulse(Polarization.H, 0.2), IDEAL, DET0)
-        assert p[BsmOutcome.PSI_MINUS] == pytest.approx(0.0, abs=1e-14)
-        assert p[BsmOutcome.PSI_PLUS] == pytest.approx(0.0, abs=1e-14)
+        psi_minus, psi_plus = coherent_success_probs(
+            0.3, 0.2, ((Polarization.H, Polarization.H),), IDEAL, DET0)[0, 0]
+        assert psi_minus == pytest.approx(0.0, abs=1e-14)
+        assert psi_plus == pytest.approx(0.0, abs=1e-14)
 
     def test_matches_fock_mixture(self):
         # mu = 0.1 both sides, H/V inputs, ideal devices.
-        mu = 0.1
-        coh = coherent_outcome_probs(SourcePulse(Polarization.H, mu),
-                                     SourcePulse(Polarization.V, mu), IDEAL, DET0)
+        mu, pairs = 0.1, ((Polarization.H, Polarization.V),)
+        coh = coherent_success_probs(mu, mu, pairs, IDEAL, DET0)[0, 0]
         w = poisson_weights(mu, 8)
-        for outcome in BsmOutcome:
-            mix = sum(
-                w[n] * w[m] * fock_outcome_probs(
-                    n, Polarization.H, m, Polarization.V, IDEAL, DET0)[outcome]
-                for n in range(9) for m in range(9))
-            assert coh[outcome] == pytest.approx(mix, abs=1e-8)
+        mix = sum(w[n] * w[m] * fock_success_probs(n, m, pairs, IDEAL, DET0)[0]
+                  for n in range(9) for m in range(9))
+        assert coh == pytest.approx(mix, abs=1e-8)
+        assert 1.0 - coh.sum() == pytest.approx(1.0 - mix.sum(), abs=1e-8)
 
     def test_matches_fock_mixture_realistic(self):
-        coh = coherent_outcome_probs(SourcePulse(Polarization.D, 0.2),
-                                     SourcePulse(Polarization.A, 0.1), U_REF, REF_DET)
+        pairs = ((Polarization.D, Polarization.A),)
+        coh = coherent_success_probs(0.2, 0.1, pairs, U_REF, REF_DET)[0, 0]
         wa, wb = poisson_weights(0.2, 8), poisson_weights(0.1, 8)
-        for outcome in BsmOutcome:
-            mix = sum(
-                wa[n] * wb[m] * fock_outcome_probs(
-                    n, Polarization.D, m, Polarization.A, U_REF, REF_DET)[outcome]
-                for n in range(9) for m in range(9))
-            assert coh[outcome] == pytest.approx(mix, abs=1e-8)
+        mix = sum(wa[n] * wb[m] * fock_success_probs(n, m, pairs, U_REF, REF_DET)[0]
+                  for n in range(9) for m in range(9))
+        assert coh == pytest.approx(mix, abs=1e-8)
+        assert 1.0 - coh.sum() == pytest.approx(1.0 - mix.sum(), abs=1e-8)
 
     def test_normalization(self):
-        p = coherent_outcome_probs(SourcePulse(Polarization.D, 0.4),
-                                   SourcePulse(Polarization.V, 0.3), U_REF, REF_DET)
-        assert sum(p.values()) == pytest.approx(1.0, abs=1e-9)
+        # The two successes are disjoint events, so they sum to at most 1.
+        p = coherent_success_probs(0.4, 0.3, ((Polarization.D, Polarization.V),),
+                                   U_REF, REF_DET)[0, 0]
+        assert np.all(p >= 0.0) and p.sum() <= 1.0 + 1e-9
 
     def test_phase_average_invariances(self):
         # The 64-node rule against a 128-point uniform average on a shifted
         # grid: twice the nodes and a phase offset must not move a result.
-        base = coherent_outcome_probs(SourcePulse(Polarization.D, 0.2),
-                                      SourcePulse(Polarization.A, 0.15), U_REF, REF_DET)
+        psi_minus, psi_plus = coherent_success_probs(
+            0.2, 0.15, ((Polarization.D, Polarization.A),), U_REF, REF_DET)[0, 0]
         uniform = (1.2345 + 2.0 * math.pi * np.arange(128) / 128, np.full(128, 1.0 / 128))
         ref = sixteen_pattern_reference(0.2, Polarization.D, 0.15, Polarization.A,
                                         U_REF, REF_DET, rule=uniform)
-        for k, outcome in enumerate((BsmOutcome.PSI_MINUS, BsmOutcome.PSI_PLUS,
-                                     BsmOutcome.FAIL)):
-            assert abs(base[outcome] - ref[k]) < 1e-10
+        for got, want in zip((psi_minus, psi_plus, 1.0 - psi_minus - psi_plus), ref):
+            assert abs(got - want) < 1e-10
 
     def test_rejects_non_unitary(self):
         bad = np.eye(4, dtype=complex) * (1 + 1e-6)
         with pytest.raises(ValueError, match="unitary"):
-            coherent_outcome_probs(SourcePulse(Polarization.H, 0.1),
-                                   SourcePulse(Polarization.V, 0.1), bad, DET0)
+            coherent_success_probs(0.1, 0.1, ((Polarization.H, Polarization.V),), bad, DET0)
 
     def test_convention_independence(self):
         # Physical probabilities must not depend on the beam-splitter phase
         # convention, misalignment included.
-        u_sym = build_network(NetworkConfig.from_misalignment(0.015, bs_convention="symmetric"))
-        for pa in Polarization:
-            for pb in Polarization:
-                a = coherent_outcome_probs(SourcePulse(pa, 0.2), SourcePulse(pb, 0.1),
-                                           U_REF, REF_DET)
-                b = coherent_outcome_probs(SourcePulse(pa, 0.2), SourcePulse(pb, 0.1),
-                                           u_sym, REF_DET)
-                f_a = fock_outcome_probs(2, pa, 1, pb, U_REF, REF_DET)
-                f_b = fock_outcome_probs(2, pa, 1, pb, u_sym, REF_DET)
-                for outcome in BsmOutcome:
-                    assert a[outcome] == pytest.approx(b[outcome], abs=1e-12)
-                    assert f_a[outcome] == pytest.approx(f_b[outcome], abs=1e-12)
-
+        u_sym = symmetric_convention_matrix(REF_NET)
+        assert unitarity_defect(u_sym) < 1e-15
+        assert np.max(np.abs(u_sym - U_REF)) > 0.5  # a different matrix, not a copy
+        a = coherent_success_probs(0.2, 0.1, ALL_PAIRS, U_REF, REF_DET)[0]
+        b = coherent_success_probs(0.2, 0.1, ALL_PAIRS, u_sym, REF_DET)[0]
+        assert np.max(np.abs(a - b)) <= 1e-12
+        f_a = fock_success_probs(2, 1, ALL_PAIRS, U_REF, REF_DET)
+        f_b = fock_success_probs(2, 1, ALL_PAIRS, u_sym, REF_DET)
+        assert np.max(np.abs(f_a - f_b)) <= 1e-12
 
 
 def sixteen_pattern_reference(mu_a, pol_a, mu_b, pol_b, u, det, rule=None):
@@ -354,7 +359,7 @@ def sixteen_pattern_reference(mu_a, pol_a, mu_b, pol_b, u, det, rule=None):
     a_in[0:2] = math.sqrt(mu_a) * pol_a.jones
     b_in = np.zeros(4, dtype=complex)
     b_in[2:4] = math.sqrt(mu_b) * pol_b.jones
-    phases, weights = phase_quadrature(64) if rule is None else rule
+    phases, weights = PHASE_RULE if rule is None else rule
     beta = (u @ a_in)[None, :] + np.exp(1j * phases)[:, None] * (u @ b_in)[None, :]
     p_click = 1.0 - (1.0 - det.darks) * np.exp(-det.etas * np.abs(beta) ** 2)
     return weights @ sixteen_pattern_probs(p_click)
@@ -371,9 +376,7 @@ class TestCoherentSuccessKernel:
                 ref = sixteen_pattern_reference(mu_a, pol_a, mu_b, pol_b, U_REF, REF_DET)
                 assert abs(got[i, k, 0] - ref[0]) <= 1e-15
                 assert abs(got[i, k, 1] - ref[1]) <= 1e-15
-                fail = coherent_outcome_probs(SourcePulse(pol_a, mu_a), SourcePulse(pol_b, mu_b),
-                                              U_REF, REF_DET)[BsmOutcome.FAIL]
-                assert abs(fail - ref[2]) <= 1e-15
+                assert abs((1.0 - got[i, k, 0] - got[i, k, 1]) - ref[2]) <= 1e-15
 
     def test_batch_equals_single_evaluations(self):
         # 19 intensities span several chunks, the last one partial; batching
@@ -408,10 +411,6 @@ class TestValidation:
         per_detector = DetectorModel(efficiency=(0.1, 0.2, 0.3, 0.4), dark_prob=1e-6)
         assert per_detector.etas.tolist() == [0.1, 0.2, 0.3, 0.4]
 
-    def test_source_pulse(self):
-        with pytest.raises(ValueError):
-            SourcePulse(Polarization.H, -0.1)
-
     def test_quadrature_weights_average_to_one(self):
-        _, w = phase_quadrature(64)
+        _, w = PHASE_RULE
         assert w.sum() == pytest.approx(1.0, abs=1e-14)
