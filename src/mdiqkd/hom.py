@@ -5,8 +5,9 @@ delayed by tau, meet on a 50:50 beam splitter watched by two threshold
 detectors.  The delayed pulse is decomposed into a component matched to the
 other pulse's temporal mode (amplitude weight O(tau)) and an orthogonal
 remainder; both propagate through the splitter and the detectors integrate
-over all temporal modes.  Click probabilities are averaged over the
-relative phase with the same quadrature kernel as the relay model.
+over all temporal modes.  Click probabilities are formed without
+cancellation and averaged over the relative phase with the relay model's
+trapezoid rule, for all delays of a scan at once.
 
 The figure of merit is the normalized coincidence C = PC / (P1 * P2): it is
 1 for distinguishable pulses and dips toward 1/2 at zero delay in the
@@ -28,22 +29,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedCoincidenceError
-from .optics import PHASE_RULE
+from .optics import _PHASE_WEIGHTS, _PHASES, _click_probs
 
 DEFAULT_DELAYS = tuple(float(t) for t in range(-1000, 1001, 25))
 
 
-def mode_overlap(tau_ps: float, fwhm_ps: float) -> float:
+def mode_overlap(tau_ps, fwhm_ps: float):
     """Amplitude overlap of two identical Gaussian envelopes delayed by tau.
 
     fwhm_ps is the full width at half maximum of the *intensity* envelope;
     the amplitude envelope is its square root, hence the standard deviation
     sigma = FWHM / (2 sqrt(2 ln 2)) and O(tau) = exp(-tau^2 / (8 sigma^2)).
+    tau_ps may be an array of delays.
     """
     if fwhm_ps <= 0:
         raise ValueError("fwhm_ps must be > 0")
     sigma = fwhm_ps / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-    return math.exp(-tau_ps ** 2 / (8.0 * sigma ** 2))
+    return np.exp(-np.square(tau_ps) / (8.0 * sigma ** 2))
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,17 @@ class HomPoint:
 
 
 def coincidence_point(tau_ps: float, params: HomParams) -> HomPoint:
-    """Single-detector and coincidence probabilities at one delay.
+    """Single-detector and coincidence probabilities at one delay."""
+    return _coincidences((tau_ps,), params)[0]
+
+
+def hom_scan(params: HomParams) -> list[HomPoint]:
+    """Evaluate the coincidence curve over the configured delay list."""
+    return _coincidences(params.delays_ps, params)
+
+
+def _coincidences(delays_ps, params: HomParams) -> list[HomPoint]:
+    """Single-detector and coincidence probabilities at each delay, as one array expression.
 
     For relative phase theta the detector intensities are
     mu * (1 +/- O cos(theta)) with O the (possibly ceiling-limited) mode
@@ -93,27 +105,20 @@ def coincidence_point(tau_ps: float, params: HomParams) -> HomPoint:
     Raises UndefinedCoincidenceError when P1 * P2 = 0 (e.g. vacuum pulses
     with no dark counts), since C is a ratio.
     """
-    mu = params.mean_photon_number
-    overlap = params.overlap_ceiling * mode_overlap(tau_ps, params.fwhm_ps)
-    phases, weights = PHASE_RULE
-    cos = np.cos(phases)
-    i1 = mu * (1.0 + overlap * cos)
-    i2 = mu * (1.0 - overlap * cos)
-    eta, dark = params.efficiency, params.dark_prob
-    p1 = 1.0 - (1.0 - dark) * np.exp(-eta * i1)
-    p2 = 1.0 - (1.0 - dark) * np.exp(-eta * i2)
-    p1_avg = float(weights @ p1)
-    p2_avg = float(weights @ p2)
-    pc_avg = float(weights @ (p1 * p2))
+    mu, eta, dark = params.mean_photon_number, params.efficiency, params.dark_prob
+    overlap = params.overlap_ceiling * mode_overlap(np.array(delays_ps, dtype=float),
+                                                    params.fwhm_ps)
+    swing = overlap[:, None] * np.cos(_PHASES)  # (delay, phase node)
+    p1, _ = _click_probs(eta * (mu * (1.0 + swing)), 1.0 - dark)
+    p2, _ = _click_probs(eta * (mu * (1.0 - swing)), 1.0 - dark)
+    p1_avg, p2_avg, pc_avg = (p1 @ _PHASE_WEIGHTS, p2 @ _PHASE_WEIGHTS,
+                              (p1 * p2) @ _PHASE_WEIGHTS)
     denom = p1_avg * p2_avg
-    if denom <= 0.0:
+    if not np.all(denom > 0.0):
+        tau_ps = delays_ps[int(np.argmin(denom > 0.0))]
         raise UndefinedCoincidenceError(
             f"normalized coincidence undefined at delay {tau_ps} ps: P1*P2 = 0 "
             f"(mu={mu}, efficiency={eta}, dark_prob={dark})")
-    return HomPoint(delay_ps=tau_ps, p1=p1_avg, p2=p2_avg, pc=pc_avg,
-                    c_norm=pc_avg / denom)
-
-
-def hom_scan(params: HomParams) -> list[HomPoint]:
-    """Evaluate the coincidence curve over the configured delay list."""
-    return [coincidence_point(tau, params) for tau in params.delays_ps]
+    return [HomPoint(delay_ps=tau, p1=a, p2=b, pc=c, c_norm=c / (a * b))
+            for tau, a, b, c in zip(delays_ps, p1_avg.tolist(), p2_avg.tolist(),
+                                    pc_avg.tolist())]

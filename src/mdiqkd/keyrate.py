@@ -27,6 +27,7 @@ from .optics import (
     DetectorModel,
     NetworkConfig,
     _coherent_success_probs,
+    _relay_coefficients,
     assert_unitary,
     build_network,
 )
@@ -43,6 +44,7 @@ DEFAULT_OPT_GRID = (0.005, 1.0, 40)
 GOLDEN_ITERS = 40
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_CUTOFF_KM = 20000.0
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 
 def binary_entropy(x: float) -> float:
@@ -129,6 +131,12 @@ class SystemModel:
         return u
 
     @cached_property
+    def rect_coefficients(self):
+        # The coherent kernel's terms for the rectangular bit pairs: every
+        # rate evaluation of this model shares them.
+        return _relay_coefficients(_bit_pairs(Basis.RECT), self.transfer_matrix, self.detector)
+
+    @cached_property
     def single_photon_relay_tables(self) -> dict[Basis, YieldErrorTable]:
         # Yields/errors at the relay for <=1 photon per side; loss independent,
         # so these are computed once and reused across distances and intensities.
@@ -176,14 +184,14 @@ def _bound_terms(system: SystemModel, terms, mus_a, mus_b):
     an entry's values do not depend on the entries around it.  Yields
     (terms, mu_a, mu_b, q11_rect, q_rect, e_rect, KeyRateValue) per entry.
     Raises NumericalFailure where q_rect has underflowed to 0 while q11_rect
-    has not (no dark counts): that zero is rounding, not a lack of clicks.
+    has not (no dark counts), and where q_rect, q11_rect or the sent Y11 is
+    nonzero but subnormal: those values are rounding, not a lack of clicks.
     """
     mus_a, mus_b = np.asarray(mus_a, dtype=float), np.asarray(mus_b, dtype=float)
     t_a = np.array([t.t_a for t in terms])
     t_b = np.array([t.t_b for t in terms])
     # Unchecked kernel: SystemModel checked transfer_matrix when it built it.
-    probs = _coherent_success_probs(t_a * mus_a, t_b * mus_b, _bit_pairs(Basis.RECT),
-                                    system.transfer_matrix, system.detector)
+    probs = _coherent_success_probs(t_a * mus_a, t_b * mus_b, system.rect_coefficients)
     gains, qbers = _gains_qbers(probs, Basis.RECT)
     for t, mu_a, mu_b, gain, qber in zip(terms, mus_a.tolist(), mus_b.tolist(),
                                          gains.tolist(), qbers.tolist()):
@@ -192,6 +200,10 @@ def _bound_terms(system: SystemModel, terms, mus_a, mus_b):
         q11_rect = q11(mu_a, mu_b, t.y11)
         if gain == 0.0 < q11_rect:
             raise NumericalFailure(f"q_rect underflows to 0 at {t.distance_km:g} km")
+        for name, value in (("q_rect", gain), ("q11_rect", q11_rect), ("Y11", t.y11)):
+            if 0.0 < value < _TINY:
+                raise NumericalFailure(f"{name} underflows to a subnormal {value:.3g} "
+                                       f"at {t.distance_km:g} km")
         yield t, mu_a, mu_b, q11_rect, gain, qber, key_rate(
             q11_rect, e11_for_rate, gain, None if math.isnan(qber) else qber,
             system.error_correction_inefficiency)
@@ -302,7 +314,8 @@ def find_cutoff(system: SystemModel, placement: float = 0.5, *, lo_km: float = 0
     intensities and an off-center relay it can rise first, so start from a
     distance with a positive rate.  Raises NumericalFailure when the rate
     stays positive up to 20000 km, and when, beyond lo_km, the rate is zero
-    only because q_rect has underflowed to 0 (no dark counts).
+    only because q_rect has underflowed to 0 (no dark counts); _bound_terms
+    raises it where a term of the rate is subnormal.
 
     lo_km and hi_km are evaluated in one batch.  Each bisection batch then
     probes the bracket's midpoint and, where a half is wider than tol_km, the

@@ -176,8 +176,9 @@ class TestKeyrateCommand:
         assert "cutoff_km = 87.14" in stdout
 
     def test_dark_count_free_underflow_is_not_a_cutoff(self, tmp_path, capsys):
-        # Without dark counts the rate stays positive until q_rect rounds to
-        # 0 (by 2,000 km in the cutoff search); that is no cutoff.
+        # Without dark counts the rate stays positive until its terms round
+        # to subnormals (the sent Y11, by 16,000 km in the cutoff search);
+        # that is no cutoff.
         out = tmp_path / "scan.csv"
         code, stdout, stderr = run(["keyrate", "--dark-count-prob=0", "--intensity-mode=fixed",
                                     "--distances-km=0,20000", "--out", str(out)], capsys)
