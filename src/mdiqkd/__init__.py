@@ -45,6 +45,7 @@ from .decoy import (
     q11,
 )
 from .keyrate import (
+    RateReport,
     ScanPoint,
     SystemModel,
     arm_transmittances,
@@ -52,6 +53,7 @@ from .keyrate import (
     distance_scan,
     find_cutoff,
     key_rate,
+    rate_report,
 )
 from .hom import HomParams, HomPoint, coincidence_point, hom_scan, mode_overlap
 

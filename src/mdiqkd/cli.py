@@ -140,38 +140,19 @@ def _write_rows(args: argparse.Namespace, config: RunConfig, stem: str, header: 
 
 
 def cmd_keyrate(args: argparse.Namespace, config: RunConfig) -> int:
-    system = config.system()
-    placement = config.placement()
-    grid = np.geomspace(config.opt_grid_min, config.opt_grid_max, config.opt_grid_points)
-    fixed = None
-    if config.intensity_mode == "fixed":
-        fixed = (config.fixed_mu_a, config.fixed_mu_b)
-    points = keyrate.distance_scan(system, config.distances_km, placement,
-                                   fixed_intensities=fixed, grid=grid)
-
-    # The summary is computed before the scan is written, so that a failed
-    # cutoff search leaves no output file.
-    if config.attenuation_db_per_km > 0:
-        cutoff = keyrate.find_cutoff(system, placement, grid=grid, fixed_intensities=fixed)
-        farthest = max((p.distance_km for p in points if p.key_rate > 0.0), default=0.0)
-        if cutoff == 0.0 and farthest > 0.0:
-            # No rate at 0 km, but a positive one further out (fixed unequal
-            # intensities with an off-center relay): bisect beyond the
-            # farthest scanned distance with a positive rate.
-            cutoff = keyrate.find_cutoff(system, placement, lo_km=farthest, grid=grid,
-                                         fixed_intensities=fixed)
-        d40 = 40.0 / config.attenuation_db_per_km
-        (at40,) = keyrate.distance_scan(system, [d40], placement,
-                                        fixed_intensities=fixed, grid=grid)
-        summary = [f"cutoff_km = {cutoff:.2f}",
-                   f"rate_at_40db_loss = {at40.key_rate:.6e} (distance {d40:g} km)"]
-    else:
-        summary = ["cutoff_km = n/a (lossless channel)",
-                   "rate_at_40db_loss = n/a (lossless channel)"]
-
-    rows = [tuple(getattr(p, column) for column in KEYRATE_COLUMNS) for p in points]
+    fixed = (config.fixed_mu_a, config.fixed_mu_b) if config.intensity_mode == "fixed" else None
+    # The report is complete before the scan is written: a failed cutoff leaves no file.
+    report = keyrate.rate_report(
+        config.system(), config.distances_km, config.placement(), fixed_intensities=fixed,
+        grid=np.geomspace(config.opt_grid_min, config.opt_grid_max, config.opt_grid_points))
+    rows = [tuple(getattr(p, column) for column in KEYRATE_COLUMNS) for p in report.points]
     _write_rows(args, config, "keyrate_scan", KEYRATE_COLUMNS, rows, "points")
-    print("\n".join(summary))
+    at40 = report.at_40db
+    if at40 is None:
+        print("cutoff_km = n/a (lossless channel)\nrate_at_40db_loss = n/a (lossless channel)")
+    else:
+        print(f"cutoff_km = {report.cutoff_km:.2f}\nrate_at_40db_loss = {at40.key_rate:.6e} "
+              f"(distance {at40.distance_km:g} km)")
     return EXIT_OK
 
 

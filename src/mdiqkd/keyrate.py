@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .protocol import (
 DEFAULT_OPT_GRID = (0.005, 1.0, 40)
 GOLDEN_ITERS = 40
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_BRACKET_KM, _TOL_KM = 500.0, 0.25  # find_cutoff's first upper bracket and tolerance
 _MAX_CUTOFF_KM = 20000.0
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
@@ -264,8 +265,7 @@ def _rate_points(system: SystemModel, distances, placement: float, *, grid=None,
     if fixed_intensities is None:
         mus_a = mus_b = _optimal_mus(system, terms, grid)
     else:
-        mus_a = [fixed_intensities[0]] * len(terms)
-        mus_b = [fixed_intensities[1]] * len(terms)
+        mus_a, mus_b = ([mu] * len(terms) for mu in fixed_intensities)
     return [
         ScanPoint(distance_km=t.distance_km, mu_a=mu_a, mu_b=mu_b, q11_rect=q11_rect,
                   e11_diag=t.e11, q_rect=gain, e_rect=qber,
@@ -280,6 +280,17 @@ def default_intensity_grid() -> np.ndarray:
     return np.geomspace(lo, hi, n)
 
 
+def _checked_distances(distances) -> list[float]:
+    ds = [float(d) for d in distances]
+    if not ds:
+        raise ValueError("distance list is empty")
+    if any(d < 0 for d in ds):
+        raise ValueError("distances must be >= 0")
+    if any(b < a for a, b in zip(ds, ds[1:])):
+        raise ValueError("distances must be ascending")
+    return ds
+
+
 def distance_scan(system: SystemModel, distances, placement: float = 0.5, *,
                   fixed_intensities: tuple[float, float] | None = None,
                   grid=None) -> list[ScanPoint]:
@@ -292,40 +303,62 @@ def distance_scan(system: SystemModel, distances, placement: float = 0.5, *,
     cutoff deterministically returns the smallest grid intensity with rate
     zero.  A distance's result does not depend on the other distances.
     """
-    ds = [float(d) for d in distances]
-    if not ds:
-        raise ValueError("distance list is empty")
-    if any(d < 0 for d in ds):
-        raise ValueError("distances must be >= 0")
-    if any(b < a for a, b in zip(ds, ds[1:])):
-        raise ValueError("distances must be ascending")
-    return _rate_points(system, ds, placement, grid=grid, fixed_intensities=fixed_intensities)
+    return _rate_points(system, _checked_distances(distances), placement, grid=grid,
+                        fixed_intensities=fixed_intensities)
+
+
+@dataclass(frozen=True)
+class RateReport:
+    points: list[ScanPoint]
+    cutoff_km: float | None  # None on a lossless channel, as is at_40db
+    at_40db: ScanPoint | None  # the point at 40 / attenuation km, 40 dB of fiber loss
+
+
+def rate_report(system: SystemModel, distances, placement: float = 0.5, *, grid=None,
+                fixed_intensities: tuple[float, float] | None = None) -> RateReport:
+    """The scan of distance_scan, with the zero-rate cutoff and the 40 dB point.
+
+    The 40 dB point is evaluated in the scan's batch.  The cutoff is
+    find_cutoff's from 0 km; where the rate is zero there but positive at a
+    scanned distance (fixed unequal intensities with an off-center relay),
+    the bisection starts again from the farthest such distance.
+    """
+    att = system.attenuation_db_per_km
+    extra = [40.0 / att] if att > 0 else []
+    kwargs = {"grid": grid, "fixed_intensities": fixed_intensities}
+    points = _rate_points(system, _checked_distances(distances) + extra, placement, **kwargs)
+    if not extra:
+        return RateReport(points=points, cutoff_km=None, at_40db=None)
+    *points, at_40db = points
+    cutoff = find_cutoff(system, placement, **kwargs)
+    farthest = max((p.distance_km for p in points if p.key_rate > 0.0), default=0.0)
+    if cutoff == 0.0 and farthest > 0.0:
+        cutoff = find_cutoff(system, placement, lo_km=farthest, **kwargs)
+    return RateReport(points=points, cutoff_km=cutoff, at_40db=at_40db)
 
 
 def find_cutoff(system: SystemModel, placement: float = 0.5, *, lo_km: float = 0.0,
-                hi_km: float = 500.0, tol_km: float = 0.25, grid=None,
-                fixed_intensities: tuple[float, float] | None = None) -> float:
+                grid=None, fixed_intensities: tuple[float, float] | None = None) -> float:
     """Distance beyond lo_km at which the rate reaches zero, by bisection.
 
     Uses per-distance optimized intensities unless a fixed pair is given.
-    Returns lo_km when the rate there is already zero.  The bisection
-    assumes one zero crossing beyond lo_km.  With optimized or equal
-    intensities the rate falls with distance; with fixed unequal
-    intensities and an off-center relay it can rise first, so start from a
-    distance with a positive rate.  Raises NumericalFailure when the rate
-    stays positive up to 20000 km, and when, beyond lo_km, the rate is zero
-    only because q_rect has underflowed to 0 (no dark counts); _bound_terms
-    raises it where a term of the rate is subnormal.
+    Returns lo_km when the rate there is already zero.  The upper bracket
+    starts at 500 km and doubles while the rate there is positive; the
+    bisection stops at 0.25 km.  It assumes one zero crossing beyond lo_km,
+    so where the rate rises first, rate_report starts it from a distance
+    with a positive rate.  Raises NumericalFailure when the rate stays
+    positive up to 20000 km, and when, beyond lo_km, the rate is zero only
+    because q_rect has underflowed to 0 (no dark counts).
 
-    lo_km and hi_km are evaluated in one batch.  Each bisection batch then
-    probes the bracket's midpoint and, where a half is wider than tol_km, the
-    midpoint of that half, and takes up to two halvings.  Every probe is
-    0.5 * (a + b) of the bracket it would split, so the probes on the path
-    taken are those of a one-probe-at-a-time bisection, and so is the result.
+    lo_km and the first bracket are evaluated in one batch.  Each bisection
+    batch then probes the bracket's midpoint and, where a half is wider than
+    the tolerance, the midpoint of that half, and takes up to two halvings.
+    Every probe is 0.5 * (a + b) of the bracket it would split, so the
+    probes on the path taken are those of a one-probe-at-a-time bisection,
+    and so is the result.
     """
-    def rate_points(distances) -> list[ScanPoint]:
-        return _rate_points(system, distances, placement, grid=grid,
-                            fixed_intensities=fixed_intensities)
+    rate_points = partial(_rate_points, system, placement=placement, grid=grid,
+                          fixed_intensities=fixed_intensities)
 
     def positive(points) -> list[bool]:
         # Only for points past a positive rate at lo_km: a zero there with no
@@ -336,11 +369,11 @@ def find_cutoff(system: SystemModel, placement: float = 0.5, *, lo_km: float = 0
                                        f"{p.distance_km:g} km")
         return [p.key_rate > 0.0 for p in points]
 
-    # hi_km is probed only when it lies beyond lo_km; otherwise it is doubled first.
-    first = rate_points([lo_km, hi_km] if hi_km > lo_km else [lo_km])
+    # The first bracket is probed only when it lies beyond lo_km; otherwise it is doubled first.
+    first = rate_points([lo_km, _BRACKET_KM] if _BRACKET_KM > lo_km else [lo_km])
     if first[0].key_rate == 0.0:
         return lo_km
-    hi, hi_positive = hi_km, positive(first)[-1]
+    hi, hi_positive = _BRACKET_KM, positive(first)[-1]
     while hi <= lo_km or hi_positive:
         hi *= 2.0
         if hi > _MAX_CUTOFF_KM:
@@ -349,12 +382,12 @@ def find_cutoff(system: SystemModel, placement: float = 0.5, *, lo_km: float = 0
             (hi_positive,) = positive(rate_points([hi]))
 
     lo = lo_km
-    while hi - lo > tol_km:
+    while hi - lo > _TOL_KM:
         mid = 0.5 * (lo + hi)
-        probes = [mid] + [0.5 * (a + b) for a, b in ((lo, mid), (mid, hi)) if b - a > tol_km]
+        probes = [mid] + [0.5 * (a + b) for a, b in ((lo, mid), (mid, hi)) if b - a > _TOL_KM]
         sign = dict(zip(probes, positive(rate_points(probes))))
         for _ in range(2):
-            if hi - lo > tol_km:
+            if hi - lo > _TOL_KM:
                 mid = 0.5 * (lo + hi)
                 lo, hi = (mid, hi) if sign[mid] else (lo, mid)
     return 0.5 * (lo + hi)

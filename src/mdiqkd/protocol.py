@@ -46,24 +46,6 @@ BIT_VALUE = {
 }
 
 
-def is_error(basis: Basis, pol_a: Polarization, pol_b: Polarization,
-             outcome: BsmOutcome) -> bool:
-    """Classify a successful outcome as an error for the given basis.
-
-    In the rectilinear basis any success with identical sent polarizations
-    is an error.  In the diagonal basis an error is a singlet outcome with
-    identical polarizations or a triplet outcome with orthogonal ones.
-    """
-    if outcome is BsmOutcome.FAIL:
-        return False
-    same = pol_a is pol_b
-    if basis is Basis.RECT:
-        return same
-    if outcome is BsmOutcome.PSI_MINUS:
-        return same
-    return not same
-
-
 @dataclass(frozen=True)
 class SiftDecision:
     keep: bool
@@ -137,10 +119,11 @@ def _bit_pairs(basis: Basis):
 
 
 # Which (pair, outcome) terms of a basis are errors, pairs in _bit_pairs order
-# and outcomes psi-, psi+, as laid out by the success kernels of optics.
+# and outcomes psi-, psi+, as laid out by the success kernels of optics: those
+# where Alice's bit differs from Bob's after the sift rule's flip.
 _ERROR_TERMS = {
-    basis: np.array([is_error(basis, pol_a, pol_b, outcome)
-                     for pol_a, pol_b in _bit_pairs(basis)
+    basis: np.array([BIT_VALUE[a] != BIT_VALUE[b] ^ sift(basis, basis, outcome).flip_bob
+                     for a, b in _bit_pairs(basis)
                      for outcome in (BsmOutcome.PSI_MINUS, BsmOutcome.PSI_PLUS)])
     for basis in Basis
 }

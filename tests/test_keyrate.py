@@ -19,6 +19,7 @@ from mdiqkd.keyrate import (
     distance_scan,
     find_cutoff,
     key_rate,
+    rate_report,
 )
 from mdiqkd.optics import DetectorModel, NetworkConfig
 
@@ -308,22 +309,25 @@ class TestScan:
                 assert p.key_rate == 0.0
 
 
-def sequential_cutoff(system, placement=0.5, *, lo_km=0.0, hi_km=500.0,
-                      tol_km=0.25, fixed_intensities=None):
-    """Bisection with one probe at a time, each a one-distance scan."""
+def sequential_cutoff(system, placement=0.5, *, lo_km=0.0, fixed_intensities=None):
+    """Bisection with one probe at a time, each a one-distance scan.
+
+    The upper bracket starts at 500 km and doubles while the rate there is
+    positive; the bisection stops at 0.25 km, as in find_cutoff.
+    """
     def positive(d):
         (point,) = distance_scan(system, [d], placement, fixed_intensities=fixed_intensities)
         return point.key_rate > 0.0
 
     if not positive(lo_km):
         return lo_km
-    hi = hi_km
+    hi = 500.0
     while hi <= lo_km or positive(hi):
         hi *= 2.0
         if hi > 20000.0:
             raise NumericalFailure("no cutoff found below 20000 km")
     lo = lo_km
-    while hi - lo > tol_km:
+    while hi - lo > 0.25:
         mid = 0.5 * (lo + hi)
         if positive(mid):
             lo = mid
@@ -346,9 +350,8 @@ class TestCutoff:
         (0.5, {}),
         (0.0, {}),
         (0.5, {"fixed_intensities": (0.3, 0.3)}),
-        (0.5, {"lo_km": 150.0, "hi_km": 100.0, "fixed_intensities": (0.3, 0.3)}),
-        (0.5, {"lo_km": 150.0, "hi_km": 100.0}),
-        (0.5, {"tol_km": 1e-3, "fixed_intensities": (0.2, 0.2)}),
+        (0.5, {"lo_km": 150.0, "fixed_intensities": (0.3, 0.3)}),
+        (0.5, {"lo_km": 150.0}),
     ], ids=placement_id)
     def test_speculative_bisection_matches_sequential(self, placement, kwargs):
         assert find_cutoff(REF_SYSTEM, placement, **kwargs) == \
@@ -375,12 +378,14 @@ class TestCutoff:
         # in the acceptance suite).
         assert cut_alice == pytest.approx(74.3, abs=1.0)
 
-    def test_lo_km_beyond_hi_km(self):
-        # The upper bracket is doubled until it lies beyond lo_km.
-        cut = find_cutoff(REF_SYSTEM, 0.5, lo_km=150.0, hi_km=100.0,
-                          fixed_intensities=(0.3, 0.3))
-        assert cut == pytest.approx(find_cutoff(REF_SYSTEM, 0.5,
-                                                fixed_intensities=(0.3, 0.3)), abs=0.25)
+    def test_lo_km_beyond_first_bracket(self):
+        # At 0.05 dB/km the rate at 600 km is still positive, so the 500 km
+        # first bracket lies below lo_km and is doubled before it is probed.
+        low_loss = dataclasses.replace(REF_SYSTEM, attenuation_db_per_km=0.05)
+        kwargs = {"lo_km": 600.0, "fixed_intensities": (0.3, 0.3)}
+        cut = find_cutoff(low_loss, 0.5, **kwargs)
+        assert cut == sequential_cutoff(low_loss, 0.5, **kwargs)
+        assert 600.0 < cut < 1000.0
 
     def test_zero_rate_at_lo_km_returns_lo_km(self):
         assert find_cutoff(REF_SYSTEM, 0.5, lo_km=400.0,
@@ -390,6 +395,49 @@ class TestCutoff:
         lossless = dataclasses.replace(REF_SYSTEM, attenuation_db_per_km=0.0)
         with pytest.raises(NumericalFailure, match="no cutoff"):
             find_cutoff(lossless, 0.5, fixed_intensities=(0.3, 0.3))
+
+
+def separate_report(system, distances, placement, **kwargs):
+    """What rate_report replaces: the scan, the cutoff from 0 km, restarted
+    from the farthest positive scanned distance when it is 0, and a
+    one-distance scan at 40 dB of loss."""
+    points = distance_scan(system, distances, placement, **kwargs)
+    cutoff = find_cutoff(system, placement, **kwargs)
+    farthest = max((p.distance_km for p in points if p.key_rate > 0.0), default=0.0)
+    if cutoff == 0.0 and farthest > 0.0:
+        cutoff = find_cutoff(system, placement, lo_km=farthest, **kwargs)
+    (at_40db,) = distance_scan(system, [40.0 / system.attenuation_db_per_km], placement,
+                               **kwargs)
+    return points, cutoff, at_40db
+
+
+class TestRateReport:
+    @pytest.mark.parametrize("placement", [0.5, 0.0], ids=placement_id)
+    def test_equals_separate_calls(self, placement):
+        report = rate_report(REF_SYSTEM, [0.0, 50.0, 200.0], placement)
+        assert (report.points, report.cutoff_km, report.at_40db) == \
+            separate_report(REF_SYSTEM, [0.0, 50.0, 200.0], placement)
+        assert report.at_40db.distance_km == 200.0
+
+    def test_rate_rising_from_zero_restarts_the_cutoff(self):
+        distances = [12.5 * i for i in range(25)]
+        report = rate_report(RISING_SYSTEM, distances, 0.0, fixed_intensities=RISING_MU)
+        assert (report.points, report.cutoff_km, report.at_40db) == \
+            separate_report(RISING_SYSTEM, distances, 0.0, fixed_intensities=RISING_MU)
+        assert report.points[0].key_rate == 0.0
+        assert 75.0 < report.cutoff_km < 87.5
+
+    def test_lossless_channel_has_no_cutoff(self):
+        lossless = dataclasses.replace(REF_SYSTEM, attenuation_db_per_km=0.0)
+        report = rate_report(lossless, [0.0, 50.0], fixed_intensities=(0.3, 0.3))
+        assert report.cutoff_km is None and report.at_40db is None
+        assert report.points == distance_scan(lossless, [0.0, 50.0],
+                                              fixed_intensities=(0.3, 0.3))
+
+    def test_checks_distances_as_distance_scan(self):
+        for distances in ([], [10.0, 5.0], [-1.0]):
+            with pytest.raises(ValueError, match="distance"):
+                rate_report(REF_SYSTEM, distances)
 
 
 class TestSerialization:
@@ -432,9 +480,9 @@ class TestSerialization:
 
 def test_default_keyrate_kernel_calls(tmp_path, monkeypatch, capsys):
     # Every coherent-kernel call goes through optics._coherent_success_probs;
-    # the lockstep optimizer and the speculative bisection keep a default
-    # keyrate run at 387 of them (1,677 with one golden-section probe per
-    # call), and the transfer matrix is checked once per build, not per call.
+    # the lockstep optimizer, the speculative bisection and the 40 dB point
+    # evaluated in the scan's batch keep a default keyrate run at 344 of
+    # them, and the transfer matrix is checked once per build, not per call.
     import mdiqkd
     from mdiqkd import cli, optics
 
@@ -453,5 +501,5 @@ def test_default_keyrate_kernel_calls(tmp_path, monkeypatch, capsys):
                 monkeypatch.setattr(module, attr, counted(name, original))
     assert cli.main(["keyrate", f"--out={tmp_path / 'scan.csv'}"]) == 0
     assert "cutoff_km = 204.22" in capsys.readouterr().out
-    assert 0 < counts["kernel"] <= 400
+    assert 0 < counts["kernel"] <= 344
     assert counts["unitary"] <= 20

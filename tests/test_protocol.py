@@ -15,6 +15,7 @@ from mdiqkd.optics import (
     fock_success_probs,
 )
 from mdiqkd.protocol import (
+    _ERROR_TERMS,
     BASIS_STATES,
     BIT_VALUE,
     Basis,
@@ -199,6 +200,14 @@ class TestSift:
         assert BIT_VALUE[Polarization.V] == 1
         assert BIT_VALUE[Polarization.D] == 0
         assert BIT_VALUE[Polarization.A] == 1
+
+    def test_error_terms(self):
+        # The (pair, outcome) terms that the gains and error rates count as
+        # errors, pairs HH, HV, VH, VV (DD, DA, AD, AA) and outcomes psi-, psi+.
+        # Rectilinear: an error is any success with equal polarizations.
+        # Diagonal: a singlet with equal ones, or a triplet with orthogonal ones.
+        assert _ERROR_TERMS[Basis.RECT].tolist() == [1, 1, 0, 0, 0, 0, 1, 1]
+        assert _ERROR_TERMS[Basis.DIAG].tolist() == [1, 0, 0, 1, 0, 1, 1, 0]
 
 
 class TestYieldErrorTable:
