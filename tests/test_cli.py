@@ -187,6 +187,25 @@ class TestKeyrateCommand:
         assert error["type"] == "NumericalFailure" and "underflows" in error["message"]
         assert stdout == "" and not out.exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        ([], "Y11 underflows to a subnormal 1.04e-322 at 16000 km"),
+        (["--detector-efficiency=1e-150"],
+         "q_rect underflows to a subnormal 1.26e-308 at 150 km"),
+        (["--detector-efficiency=1e-152"],
+         "q_rect underflows to a subnormal 1.26e-309 at 0 km"),
+        (["--detector-efficiency=1e-149", "--distances-km=0"],
+         "q_rect underflows to a subnormal 1.26e-313 at 500 km"),
+    ], ids=["default", "eta-1e-150", "eta-1e-152", "eta-1e-149-first-bracket"])
+    def test_dark_count_free_underflow_messages(self, tmp_path, capsys, argv, message):
+        # Without dark counts the guards name the first entry whose terms
+        # round to subnormals: in the cutoff's doubling (default), in the
+        # scan (1e-150 and 1e-152), and at the cutoff's first bracket.
+        code, stdout, stderr = run(["keyrate", "--dark-count-prob=0", *argv,
+                                    f"--out={tmp_path / 'scan.csv'}"], capsys)
+        assert code == 3 and stdout == ""
+        assert json.loads(stderr)["error"] == {"code": 3, "type": "NumericalFailure",
+                                               "message": message}
+
     def test_no_rate_at_zero_km_is_a_zero_cutoff(self, tmp_path, capsys):
         out = tmp_path / "scan.csv"
         code, stdout, _ = run(["keyrate", "--detector-efficiency=0", "--dark-count-prob=0",

@@ -13,6 +13,9 @@ from mdiqkd.decoy import q11
 from mdiqkd.errors import NumericalFailure
 from mdiqkd.keyrate import (
     SystemModel,
+    _distance_terms,
+    _optimum_signs,
+    _rate_points,
     arm_lengths,
     arm_transmittances,
     binary_entropy,
@@ -309,14 +312,57 @@ class TestScan:
                 assert p.key_rate == 0.0
 
 
-def sequential_cutoff(system, placement=0.5, *, lo_km=0.0, fixed_intensities=None):
+DESCENDING_GRID = np.geomspace(0.8, 0.01, 9)
+
+
+class TestOptimumSigns:
+    # The cutoff search reads only the sign of the optimized rate, which
+    # _optimum_signs takes from the grid and the all-tie golden path.
+    @settings(max_examples=40, deadline=None)
+    @given(efficiency=st.floats(0.10, 0.50), dark_log10=st.floats(-7.0, -5.0),
+           misalignment=st.floats(0.005, 0.03),
+           placement=st.sampled_from([0.5, 0.0]) | st.floats(0.2, 0.8),
+           distances=st.lists(st.floats(0.0, 600.0), min_size=1, max_size=4),
+           grid=st.sampled_from([None, (0.2,), (0.005, 1.0), (0.01, 0.05, 0.3),
+                                 tuple(DESCENDING_GRID)]))
+    def test_matches_full_optimizer(self, efficiency, dark_log10, misalignment, placement,
+                                    distances, grid):
+        system = SystemModel(network=NetworkConfig.from_misalignment(misalignment),
+                             detector=DetectorModel(efficiency=efficiency,
+                                                    dark_prob=10.0 ** dark_log10))
+        points = _rate_points(system, distances, placement, grid=grid)
+        signs = _optimum_signs(system, [_distance_terms(system, d, placement)
+                                        for d in distances], grid)
+        for point, (distance, positive, q_rect) in zip(points, signs):
+            assert distance == point.distance_km
+            assert positive == (point.key_rate > 0.0)
+            if not positive:
+                assert q_rect == point.q_rect
+
+    @pytest.mark.parametrize("distance,positive", [(150.0, True), (204.0, False)])
+    def test_all_zero_grid(self, distance, positive):
+        # With the grid (0.005, 1.0) both grid rates are zero from 100 km on:
+        # the sign comes from the golden probes, positive at 150 km.
+        grid = (0.005, 1.0)
+        assert all(distance_scan(REF_SYSTEM, [distance], fixed_intensities=(mu, mu))[0]
+                   .key_rate == 0.0 for mu in grid)
+        (point,) = _rate_points(REF_SYSTEM, [distance], 0.5, grid=grid)
+        ((_, got, q_rect),) = _optimum_signs(
+            REF_SYSTEM, [_distance_terms(REF_SYSTEM, distance, 0.5)], grid)
+        assert got == positive == (point.key_rate > 0.0)
+        assert positive or q_rect == point.q_rect
+
+
+def sequential_cutoff(system, placement=0.5, *, lo_km=0.0, fixed_intensities=None,
+                      grid=None):
     """Bisection with one probe at a time, each a one-distance scan.
 
     The upper bracket starts at 500 km and doubles while the rate there is
     positive; the bisection stops at 0.25 km, as in find_cutoff.
     """
     def positive(d):
-        (point,) = distance_scan(system, [d], placement, fixed_intensities=fixed_intensities)
+        (point,) = distance_scan(system, [d], placement, fixed_intensities=fixed_intensities,
+                                 grid=grid)
         return point.key_rate > 0.0
 
     if not positive(lo_km):
@@ -352,6 +398,8 @@ class TestCutoff:
         (0.5, {"fixed_intensities": (0.3, 0.3)}),
         (0.5, {"lo_km": 150.0, "fixed_intensities": (0.3, 0.3)}),
         (0.5, {"lo_km": 150.0}),
+        (0.3, {}),
+        (0.5, {"grid": DESCENDING_GRID}),
     ], ids=placement_id)
     def test_speculative_bisection_matches_sequential(self, placement, kwargs):
         assert find_cutoff(REF_SYSTEM, placement, **kwargs) == \
@@ -418,6 +466,14 @@ class TestRateReport:
         assert (report.points, report.cutoff_km, report.at_40db) == \
             separate_report(REF_SYSTEM, [0.0, 50.0, 200.0], placement)
         assert report.at_40db.distance_km == 200.0
+        # The scanned 200 km is the 40 dB point itself, not evaluated twice.
+        assert report.at_40db is report.points[-1]
+
+    def test_unscanned_40db_point(self):
+        report = rate_report(REF_SYSTEM, [0.0, 50.0, 150.0], 0.5)
+        assert (report.points, report.cutoff_km, report.at_40db) == \
+            separate_report(REF_SYSTEM, [0.0, 50.0, 150.0], 0.5)
+        assert report.at_40db.distance_km == 200.0 and len(report.points) == 3
 
     def test_rate_rising_from_zero_restarts_the_cutoff(self):
         distances = [12.5 * i for i in range(25)]
@@ -479,10 +535,12 @@ class TestSerialization:
 
 
 def test_default_keyrate_kernel_calls(tmp_path, monkeypatch, capsys):
-    # Every coherent-kernel call goes through optics._coherent_success_probs;
-    # the lockstep optimizer, the speculative bisection and the 40 dB point
-    # evaluated in the scan's batch keep a default keyrate run at 344 of
-    # them, and the transfer matrix is checked once per build, not per call.
+    # Every coherent-kernel call goes through optics._coherent_success_probs.
+    # The lockstep optimizer makes 43 of them for the scan, whose 200 km
+    # point is the 40 dB point.  The speculative bisection reads each probe's
+    # sign from a grid call and, where every grid rate is zero, one call for
+    # the all-tie golden path: 14 more, 57 in all.  The transfer matrix is
+    # checked once per build, not per call.
     import mdiqkd
     from mdiqkd import cli, optics
 
@@ -501,5 +559,5 @@ def test_default_keyrate_kernel_calls(tmp_path, monkeypatch, capsys):
                 monkeypatch.setattr(module, attr, counted(name, original))
     assert cli.main(["keyrate", f"--out={tmp_path / 'scan.csv'}"]) == 0
     assert "cutoff_km = 204.22" in capsys.readouterr().out
-    assert 0 < counts["kernel"] <= 344
+    assert 0 < counts["kernel"] <= 57
     assert counts["unitary"] <= 20
