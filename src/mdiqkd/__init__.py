@@ -40,7 +40,6 @@ from .decoy import (
     observed_from_model,
     observed_from_table,
     poisson_pmf,
-    poisson_tail_mass,
     poisson_weights,
     q11,
 )

@@ -22,12 +22,16 @@ from .decoy import DEFAULT_INTENSITIES
 from .errors import ConfigError
 from .hom import DEFAULT_DELAYS, HomParams
 from .keyrate import DEFAULT_OPT_GRID, SystemModel
-from .optics import DetectorModel, NetworkConfig
+from .optics import _MAX_FACT, DetectorModel, NetworkConfig
 
 _DEFAULT_DISTANCES = tuple(i * 12.5 for i in range(25))  # 0..300 km
 # Larger intensity grids are rejected before the optimizer tiles one over
 # every distance.
 MAX_OPT_GRID_POINTS = 10_000
+# The Fock expansion's photon limit: a bsm table takes bsm_photons_a +
+# bsm_photons_b photons, and a decoy table up to 2 * estimation_n_max.
+MAX_FOCK_PHOTONS = _MAX_FACT - 1
+MAX_ESTIMATION_N_MAX = MAX_FOCK_PHOTONS // 2
 
 
 def _parse_float(text: str) -> float:
@@ -170,6 +174,8 @@ class RunConfig:
             check(all(b > a for a, b in zip(grid, grid[1:])),
                   f"{name} must be strictly increasing")
         check(self.estimation_n_max >= 0, "estimation_n_max must be >= 0")
+        check(self.estimation_n_max <= MAX_ESTIMATION_N_MAX,
+              f"estimation_n_max must be <= {MAX_ESTIMATION_N_MAX}")
         check(len(self.grid_alice) >= self.estimation_n_max + 1,
               f"grid_alice needs at least estimation_n_max+1 = "
               f"{self.estimation_n_max + 1} intensities")
@@ -178,6 +184,8 @@ class RunConfig:
               f"{self.estimation_n_max + 1} intensities")
         check(self.bsm_photons_a >= 0 and self.bsm_photons_b >= 0,
               "bsm photon numbers must be >= 0")
+        check(self.bsm_photons_a + self.bsm_photons_b <= MAX_FOCK_PHOTONS,
+              f"bsm_photons_a + bsm_photons_b must be <= {MAX_FOCK_PHOTONS}")
         check(self.bsm_mu_a >= 0 and self.bsm_mu_b >= 0, "bsm intensities must be >= 0")
         check(self.hom_mean_photon_number >= 0, "hom_mean_photon_number must be >= 0")
         check(self.hom_fwhm_ps > 0, "hom_fwhm_ps must be > 0")

@@ -58,18 +58,6 @@ def poisson_weights(mu: float, n_max: int) -> np.ndarray:
     return np.array([poisson_pmf(mu, n) for n in range(n_max + 1)])
 
 
-def poisson_tail_mass(mu: float, n_max: int) -> float:
-    """P(N > n_max) computed by direct summation (stable for tiny tails)."""
-    term = poisson_pmf(mu, n_max + 1)
-    total = 0.0
-    n = n_max + 1
-    while term > 0.0 and (total == 0.0 or term > total * 1e-18):
-        total += term
-        n += 1
-        term *= mu / n
-    return total
-
-
 @dataclass(frozen=True)
 class IntensityGrid:
     """Decoy intensity settings for Alice and Bob (mean photon numbers)."""

@@ -11,10 +11,14 @@ Bell-state-measurement outcome probabilities for two kinds of inputs:
   cancellation-free click probability, accurate to ~1e-15 for eta*mu <= 10
   and less accurate beyond, and
 * definite photon-number inputs expanded exactly through the network, which
-  act as an independent multiphoton oracle for the coherent model.
+  act as an independent multiphoton oracle for the coherent model.  What
+  the expansion needs of the photon numbers (n, m) alone is built once and
+  cached, and the pairs of a call share one scatter of their amplitudes
+  onto the output occupations.
 
 Both kinds apply one click rule, _success_probs, and return P(psi-) and
-P(psi+) for a sequence of polarization pairs in the same layout.
+P(psi+) for a sequence of polarization pairs in the same layout.  The tests
+hold the rule's oracle, a table of the 16 click patterns and their outcomes.
 
 Detectors are threshold detectors: each mode clicks independently with
 probability 1 - (1-d) * P(no surviving photon), where d is the dark-click
@@ -71,31 +75,6 @@ class BsmOutcome(enum.Enum):
     PSI_MINUS = "psi_minus"
     PSI_PLUS = "psi_plus"
     FAIL = "fail"
-
-
-# A successful outcome requires precisely the designated detector pair to
-# click and the other two to stay silent; any other pattern (including
-# triple/quadruple clicks from dark counts) is a failure.
-_PSI_MINUS_PATTERNS = frozenset({
-    (True, False, False, True),   # D1H & D2V
-    (False, True, True, False),   # D1V & D2H
-})
-_PSI_PLUS_PATTERNS = frozenset({
-    (True, True, False, False),   # D1H & D1V
-    (False, False, True, True),   # D2H & D2V
-})
-
-
-def classify_pattern(clicks) -> BsmOutcome:
-    """Map a 4-tuple of detector clicks (D1H, D1V, D2H, D2V) to an outcome."""
-    pattern = tuple(bool(c) for c in clicks)
-    if len(pattern) != N_MODES:
-        raise ValueError(f"expected {N_MODES} click flags, got {len(pattern)}")
-    if pattern in _PSI_MINUS_PATTERNS:
-        return BsmOutcome.PSI_MINUS
-    if pattern in _PSI_PLUS_PATTERNS:
-        return BsmOutcome.PSI_PLUS
-    return BsmOutcome.FAIL
 
 
 @dataclass(frozen=True)
@@ -247,9 +226,9 @@ def _success_probs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     given separately so that each can be formed without cancellation, both
     with the detector axis (D1H, D1V, D2H, D2V) first; the result has the
     remaining axes and then the two outcomes.  A success is exactly one
-    designated pair clicking with the other two detectors silent, the rule of
-    classify_pattern: psi- = p0 q1 q2 p3 + q0 p1 p2 q3 and
-    psi+ = p0 p1 q2 q3 + q0 q1 p2 p3.
+    designated pair clicking with the other two detectors silent, triple and
+    quadruple clicks failing: psi- = p0 q1 q2 p3 + q0 p1 p2 q3 (D1H & D2V or
+    D1V & D2H) and psi+ = p0 p1 q2 q3 + q0 q1 p2 p3 (D1H & D1V or D2H & D2V).
     """
     p0, p1, p2, p3 = p
     q0, q1, q2, q3 = q
@@ -374,6 +353,55 @@ _FACT = _readonly(np.array([math.factorial(k) for k in range(_MAX_FACT)], dtype=
 _SQRT_FACT = _readonly(np.sqrt(_FACT))
 
 
+class _FockLayout(NamedTuple):
+    """The terms of the Fock expansion that depend only on (n, m).
+
+    Alice's n photons and Bob's m photons are each placed over the four
+    modes in every way (the compositions), normed by their factorial
+    products.  A composition t is keyed by (t_0 * s + t_1) * s + t_2 with
+    s = n + m + 1.  No entry of a sum of an Alice and a Bob composition
+    reaches s, so the key of the output occupation is the sum of their keys.
+    The fourth entry is fixed by the other three, so the occupations, listed
+    by ascending key, are in the order of their row-major index over
+    (n+m+1)^4.  The layout holds O(Ca + Cb + n_out) values; the Ca * Cb
+    output keys of a call are formed from them, not cached.
+    """
+
+    alice: np.ndarray        # (Ca, 4) compositions of n
+    alice_norm: np.ndarray   # (Ca,) their factorial products
+    alice_keys: np.ndarray   # (Ca, 1) their keys, for broadcasting against bob_keys
+    bob: np.ndarray          # (Cb, 4) compositions of m
+    bob_norm: np.ndarray     # (Cb,)
+    bob_keys: np.ndarray     # (Cb,)
+    occupations: np.ndarray  # (n_out, 4) compositions of n + m
+    norm: np.ndarray         # (n_out,) their factorial products
+    keys: np.ndarray         # (n_out,) their keys, ascending
+    bins: int                # s**3, the size of the key space
+
+
+@lru_cache(maxsize=None)
+def _fock_layout(n: int, m: int) -> _FockLayout:
+    size = n + m + 1
+    alice, bob, occupations = _compositions(n), _compositions(m), _compositions(n + m)
+
+    def norms(comps: np.ndarray) -> np.ndarray:
+        return _readonly(np.prod(_FACT[comps], axis=1))
+
+    def keys(comps: np.ndarray) -> np.ndarray:
+        return _readonly((comps[:, 0] * size + comps[:, 1]) * size + comps[:, 2])
+
+    return _FockLayout(alice, norms(alice), keys(alice)[:, None], bob, norms(bob), keys(bob),
+                       occupations, norms(occupations), keys(occupations), size ** 3)
+
+
+# fock_success_probs scatters the terms of this many (pair, composition
+# pair) products at a time, or of one pair where a pair has more.  At
+# n, m <= 5 the four pairs of a basis share one scatter (4 * 56^2 = 12,544
+# terms; a call peaks at 0.6 MB under tracemalloc).  At (19, 19) one pair
+# has 2.4e6 terms and a call peaks at 135 MB, so pairs there go one at a time.
+_FOCK_CHUNK = 1 << 14
+
+
 def fock_success_probs(
     n: int,
     m: int,
@@ -391,9 +419,14 @@ def fock_success_probs(
     the network, giving exact amplitudes over output occupation patterns;
     each occupation then suffers per-mode binomial loss with survival
     probability eta and threshold detection OR-ed with dark clicks.  The
-    compositions of n and m photons over the four modes and their output
-    occupation indices depend only on (n, m), so they are built once and
-    each pair is expanded on them.
+    compositions, occupations and keys depend only on (n, m) and are cached
+    per (n, m) in a _FockLayout.  The amplitude products of all composition
+    pairs of a chunk of pairs are summed into their occupations by one
+    bincount on the real parts and one on the imaginary parts, each bin in
+    the order of the composition pairs.  The click rule runs once per
+    occupation, and each pair's probabilities are a dot product over the
+    occupations it reaches with a nonzero amplitude.  A pair's result does
+    not depend on the other pairs of the call.
 
     The cost grows ~ (n+3 choose 3) * (m+3 choose 3) per pair, and n + m may
     not exceed the factorial table, _MAX_FACT - 1 photons.
@@ -407,28 +440,37 @@ def fock_success_probs(
             f"total photon count n+m = {n + m} exceeds {_MAX_FACT - 1}, "
             f"the largest the expansion supports")
     assert_unitary(u)
+    layout = _fock_layout(int(n), int(m))
 
-    comps_a, comps_b = _compositions(n), _compositions(m)
-    norm_a, norm_b = np.prod(_FACT[comps_a], axis=1), np.prod(_FACT[comps_b], axis=1)
-    dims = (n + m + 1,) * N_MODES
-    occ = comps_a[:, None, :] + comps_b[None, :, :]
-    lin = np.ravel_multi_index(tuple(occ[..., k] for k in range(N_MODES)), dims).ravel()
+    inputs = np.zeros((2, len(pairs), N_MODES, 1), dtype=complex)
+    for k, (pol_a, pol_b) in enumerate(pairs):
+        inputs[0, k, 0:2, 0] = pol_a.jones
+        inputs[1, k, 2:4, 0] = pol_b.jones
+    # One matrix-vector product per pair and party, rounded as u @ a_in is.
+    out_a, out_b = np.matmul(u, inputs)[..., 0]
+    amp_a = _SQRT_FACT[n] * np.prod(out_a[:, None, :] ** layout.alice, axis=2) / layout.alice_norm
+    amp_b = _SQRT_FACT[m] * np.prod(out_b[:, None, :] ** layout.bob, axis=2) / layout.bob_norm
+
+    survival = (1.0 - det.etas)[None, :] ** layout.occupations
+    p_click = 1.0 - (1.0 - det.darks)[None, :] * survival
+    success = _success_probs(p_click.T, 1.0 - p_click.T)
 
     out = np.empty((len(pairs), 2))
-    for k, (pol_a, pol_b) in enumerate(pairs):
-        a_in = np.zeros(N_MODES, dtype=complex)
-        a_in[0:2] = pol_a.jones
-        b_in = np.zeros(N_MODES, dtype=complex)
-        b_in[2:4] = pol_b.jones
-        amp_a = _SQRT_FACT[n] * np.prod((u @ a_in)[None, :] ** comps_a, axis=1) / norm_a
-        amp_b = _SQRT_FACT[m] * np.prod((u @ b_in)[None, :] ** comps_b, axis=1) / norm_b
-        acc = np.zeros(math.prod(dims), dtype=complex)
-        np.add.at(acc, lin, (amp_a[:, None] * amp_b[None, :]).ravel())
-
-        support = np.flatnonzero(acc)
-        occupations = np.stack(np.unravel_index(support, dims), axis=1)
-        probs = np.abs(acc[support]) ** 2 * np.prod(_FACT[occupations], axis=1)
-        survival = (1.0 - det.etas)[None, :] ** occupations
-        p_click = 1.0 - (1.0 - det.darks)[None, :] * survival
-        out[k] = probs @ _success_probs(p_click.T, 1.0 - p_click.T)
+    step = max(1, _FOCK_CHUNK // (amp_a.shape[1] * amp_b.shape[1]))
+    for start in range(0, len(pairs), step):
+        terms = amp_a[start:start + step, :, None] * amp_b[start:start + step, None, :]
+        count = terms.shape[0]
+        bins = (layout.alice_keys + layout.bob_keys
+                + layout.bins * np.arange(count)[:, None, None]).ravel()
+        acc = np.empty((count, len(layout.keys)), dtype=complex)
+        for part, values in ((acc.real, terms.real), (acc.imag, terms.imag)):
+            sums = np.bincount(bins, values.ravel(), count * layout.bins)
+            part[...] = sums.reshape(count, layout.bins)[:, layout.keys]
+        reached = acc != 0.0
+        probs = np.abs(acc) ** 2 * layout.norm
+        # A dot over each pair's own support: one product over every
+        # occupation, or over all pairs at once, would sum in another order.
+        for k in range(count):
+            support = reached[k]
+            out[start + k] = probs[k, support] @ success[support]
     return out

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from mdiqkd import cli
 from mdiqkd.cli import build_parser, main
-from mdiqkd.config import RunConfig
+from mdiqkd.config import MAX_ESTIMATION_N_MAX, MAX_FOCK_PHOTONS, RunConfig
 from mdiqkd.decoy import IntensityGrid, observed_from_model
 from mdiqkd.keyrate import distance_scan
 from mdiqkd.protocol import Basis
@@ -295,6 +295,20 @@ class TestDecoyCommand:
         assert data["diagnostics"]["clamp_events"] == 0
         assert "y11_estimated" in stdout
 
+    def test_estimation_n_max_limit(self, tmp_path, capsys):
+        # A table at n_max holds 2 * n_max photons in its last cell, so n_max
+        # 19 is the largest the Fock expansion's 39 photons allow.
+        assert MAX_ESTIMATION_N_MAX == 19
+        grid = ",".join(str(0.01 * (k + 1)) for k in range(32))
+        RunConfig(estimation_n_max=19, grid_alice=tuple(0.01 * (k + 1) for k in range(20)),
+                  grid_bob=tuple(0.01 * (k + 1) for k in range(20)))
+        out = tmp_path / "x.csv"
+        code, _, stderr = run(["decoy", "--estimation-n-max=30", f"--grid-alice={grid}",
+                               f"--grid-bob={grid}", "--out", str(out)], capsys)
+        assert code == 2
+        assert json.loads(stderr)["error"]["message"] == "estimation_n_max must be <= 19"
+        assert not out.exists()
+
     def test_round_trip_without_y11_rejected(self, tmp_path, capsys):
         code, _, stderr = run(["decoy", "--estimation-n-max=0",
                                "--out", str(tmp_path / "x.csv")], capsys)
@@ -388,7 +402,21 @@ class TestBsmCommand:
                                f"--bsm-photons-b={photons_b}", "--out", str(out)], capsys)
         assert code == 2
         err = json.loads(stderr)["error"]
-        assert err["type"] == "ValueError" and "n+m = 40" in err["message"]
+        assert err == {"code": 2, "type": "ConfigError",
+                       "message": "bsm_photons_a + bsm_photons_b must be <= 39"}
+        assert not out.exists()
+
+    def test_photon_limit_is_a_config_limit(self, tmp_path, capsys):
+        # The configuration holds the expansion's limit, 39 photons in all,
+        # so 20 + 20 photons fail with a message naming the keys.
+        assert MAX_FOCK_PHOTONS == 39
+        RunConfig(bsm_photons_a=20, bsm_photons_b=19)
+        out = tmp_path / "bsm.csv"
+        code, _, stderr = run(["bsm", "--bsm-input=fock", "--bsm-photons-a=20",
+                               "--bsm-photons-b=20", "--out", str(out)], capsys)
+        assert code == 2
+        assert json.loads(stderr)["error"]["message"] == \
+            "bsm_photons_a + bsm_photons_b must be <= 39"
         assert not out.exists()
 
     def test_coherent_mode(self, tmp_path, capsys):

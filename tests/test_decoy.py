@@ -18,7 +18,6 @@ from mdiqkd.decoy import (
     observed_from_model,
     observed_from_table,
     poisson_pmf,
-    poisson_tail_mass,
     poisson_weights,
     q11,
 )
@@ -99,18 +98,6 @@ class TestPoissonHelpers:
         assert sum(poisson_pmf(0.3, n) for n in range(60)) == pytest.approx(1.0, abs=1e-15)
         assert poisson_pmf(0.0, 0) == 1.0
         assert poisson_pmf(0.0, 2) == 0.0
-
-    def test_tail_mass(self):
-        # Mass above n = 8 at mu = 0.2: small enough that an 8-photon
-        # truncation supports 1e-6 agreement targets with orders to spare,
-        # though slightly above a round 1e-12.
-        tail = poisson_tail_mass(0.2, 8)
-        assert 1.0e-12 < tail < 1.3e-12
-        assert tail == pytest.approx(1.178706e-12, rel=1e-5)
-        assert poisson_tail_mass(0.5, 8) == pytest.approx(3.435490e-09, rel=1e-5)
-        # consistency with the pmf
-        direct = 1.0 - sum(poisson_pmf(0.5, n) for n in range(9))
-        assert poisson_tail_mass(0.5, 8) == pytest.approx(direct, rel=1e-6)
 
 
 class TestInvertPoisson:

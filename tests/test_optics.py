@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -7,14 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdiqkd.optics import (
+    _FACT,
+    _FOCK_CHUNK,
+    _SQRT_FACT,
     BsmOutcome,
     DetectorModel,
     NetworkConfig,
     _MU_CHUNK,
+    N_MODES,
     Polarization,
     build_network,
+    _compositions,
     _success_probs,
-    classify_pattern,
     coherent_success_probs,
     fock_success_probs,
     unitarity_defect,
@@ -29,6 +34,33 @@ REF_DET = DetectorModel(efficiency=0.145, dark_prob=6.02e-6)
 SQ = 1.0 / math.sqrt(2.0)
 
 ALL_PAIRS = tuple(itertools.product(Polarization, repeat=2))
+RECT_PAIRS = tuple(itertools.product((Polarization.H, Polarization.V), repeat=2))
+DIAG_PAIRS = tuple(itertools.product((Polarization.D, Polarization.A), repeat=2))
+
+
+# The click rule as a table of patterns, the oracle of the success kernels.
+# A successful outcome requires precisely the designated detector pair to
+# click and the other two to stay silent; any other pattern (including
+# triple/quadruple clicks from dark counts) is a failure.
+_PSI_MINUS_PATTERNS = frozenset({
+    (True, False, False, True),   # D1H & D2V
+    (False, True, True, False),   # D1V & D2H
+})
+_PSI_PLUS_PATTERNS = frozenset({
+    (True, True, False, False),   # D1H & D1V
+    (False, False, True, True),   # D2H & D2V
+})
+
+
+def classify_pattern(clicks) -> BsmOutcome:
+    """Map a 4-tuple of detector clicks (D1H, D1V, D2H, D2V) to an outcome."""
+    pattern = tuple(bool(c) for c in clicks)
+    assert len(pattern) == N_MODES
+    if pattern in _PSI_MINUS_PATTERNS:
+        return BsmOutcome.PSI_MINUS
+    if pattern in _PSI_PLUS_PATTERNS:
+        return BsmOutcome.PSI_PLUS
+    return BsmOutcome.FAIL
 
 
 def poisson_weights(mu, n_max):
@@ -186,7 +218,7 @@ class TestFockOracle:
         with pytest.raises(ValueError, match="unitary"):
             fock_success_probs(1, 1, ((Polarization.H, Polarization.V),), bad, DET0)
 
-    @pytest.mark.parametrize("n,m", [(0, 0), (1, 1), (3, 0), (2, 3)])
+    @pytest.mark.parametrize("n,m", [(0, 0), (1, 1), (3, 0), (2, 3), (5, 5)])
     def test_pairs_equal_one_pair_calls(self, n, m):
         # Expanding the pairs on shared compositions must not move a bit.
         got = fock_success_probs(n, m, ALL_PAIRS, U_REF, REF_DET)
@@ -195,18 +227,77 @@ class TestFockOracle:
             single = fock_success_probs(n, m, (pair,), U_REF, REF_DET)
             assert got[k].tolist() == single[0].tolist()
 
+    @pytest.mark.parametrize("n,m", [(1, 1), (4, 2), (5, 5)])
+    def test_both_bases_equal_one_basis_calls(self, n, m):
+        # The eight bit pairs of both bases in one call, as each basis's four.
+        got = fock_success_probs(n, m, RECT_PAIRS + DIAG_PAIRS, U_REF, REF_DET)
+        rect = fock_success_probs(n, m, RECT_PAIRS, U_REF, REF_DET)
+        diag = fock_success_probs(n, m, DIAG_PAIRS, U_REF, REF_DET)
+        assert got.tobytes() == np.concatenate([rect, diag]).tobytes()
+        for k, pair in enumerate(RECT_PAIRS + DIAG_PAIRS):
+            assert got[k].tobytes() == fock_success_probs(n, m, (pair,), U_REF, REF_DET).tobytes()
+
+    def test_chunked_pairs_equal_one_pair_calls(self):
+        # At (6, 6) a pair has 84 * 84 composition pairs, so the 16 pairs
+        # take several scatters.
+        n = m = 6
+        assert len(ALL_PAIRS) * len(_compositions(n)) * len(_compositions(m)) > 2 * _FOCK_CHUNK
+        got = fock_success_probs(n, m, ALL_PAIRS, U_REF, REF_DET)
+        assert got.tobytes() == per_pair_expansion(n, m, ALL_PAIRS, U_REF, REF_DET).tobytes()
+        for k, pair in enumerate(ALL_PAIRS):
+            assert got[k].tobytes() == fock_success_probs(n, m, (pair,), U_REF, REF_DET).tobytes()
+
+    @pytest.mark.parametrize("devices", ["default", "random0", "random1", "random2", "random3",
+                                         "complex"])
+    def test_matches_per_pair_expansion_bit_for_bit(self, devices):
+        u, det = FOCK_DEVICES[devices]
+        for n, m in itertools.product(range(6), repeat=2):
+            got = fock_success_probs(n, m, ALL_PAIRS, u, det)
+            assert got.tobytes() == per_pair_expansion(n, m, ALL_PAIRS, u, det).tobytes(), (n, m)
+
+
+def per_pair_expansion(n, m, pairs, u, det):
+    """The Fock expansion one pair at a time, on a dense occupation array.
+
+    Each pair's amplitude products are accumulated with np.add.at into an
+    array over all (n+m+1)^4 occupation indices, and the click rule is
+    applied to that pair's nonzero support.  fock_success_probs must agree
+    with it bit for bit.
+    """
+    comps_a, comps_b = _compositions(n), _compositions(m)
+    norm_a, norm_b = np.prod(_FACT[comps_a], axis=1), np.prod(_FACT[comps_b], axis=1)
+    dims = (n + m + 1,) * N_MODES
+    occ = comps_a[:, None, :] + comps_b[None, :, :]
+    lin = np.ravel_multi_index(tuple(occ[..., k] for k in range(N_MODES)), dims).ravel()
+    out = np.empty((len(pairs), 2))
+    for k, (pol_a, pol_b) in enumerate(pairs):
+        a_in = np.zeros(N_MODES, dtype=complex)
+        a_in[0:2] = pol_a.jones
+        b_in = np.zeros(N_MODES, dtype=complex)
+        b_in[2:4] = pol_b.jones
+        amp_a = _SQRT_FACT[n] * np.prod((u @ a_in)[None, :] ** comps_a, axis=1) / norm_a
+        amp_b = _SQRT_FACT[m] * np.prod((u @ b_in)[None, :] ** comps_b, axis=1) / norm_b
+        acc = np.zeros(math.prod(dims), dtype=complex)
+        np.add.at(acc, lin, (amp_a[:, None] * amp_b[None, :]).ravel())
+        support = np.flatnonzero(acc)
+        occupations = np.stack(np.unravel_index(support, dims), axis=1)
+        probs = np.abs(acc[support]) ** 2 * np.prod(_FACT[occupations], axis=1)
+        survival = (1.0 - det.etas)[None, :] ** occupations
+        p_click = 1.0 - (1.0 - det.darks)[None, :] * survival
+        out[k] = probs @ _success_probs(p_click.T, 1.0 - p_click.T)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _permutations(n):
+    perms = list(itertools.permutations(range(n)))
+    return np.array(perms, dtype=int).reshape(len(perms), n)
+
 
 def _permanent(mat):
+    """Sum over all permutations p of prod_i mat[i, p(i)]."""
     n = mat.shape[0]
-    if n == 0:
-        return 1.0 + 0.0j
-    total = 0.0 + 0.0j
-    for perm in itertools.permutations(range(n)):
-        term = 1.0 + 0.0j
-        for i, j in enumerate(perm):
-            term *= mat[i, j]
-        total += term
-    return total
+    return np.prod(mat[np.arange(n), _permutations(n)], axis=1).sum()
 
 
 def permanent_oracle(n, pol_a, m, pol_b, u, det):
@@ -261,6 +352,17 @@ class TestPermanentOracle:
         assert psi_plus == pytest.approx(expected[BsmOutcome.PSI_PLUS], abs=1e-12)
         assert 1.0 - psi_minus - psi_plus == pytest.approx(expected[BsmOutcome.FAIL], abs=1e-12)
 
+    @pytest.mark.parametrize("n,m", [(n, m) for n in range(7) for m in range(7 - n)])
+    def test_all_pairs_up_to_six_photons(self, n, m):
+        det = DetectorModel(efficiency=(0.7, 0.5, 0.9, 0.6), dark_prob=(1e-4, 3e-3, 0.0, 1e-2))
+        pairs = ((Polarization.H, Polarization.V), (Polarization.D, Polarization.D),
+                 (Polarization.V, Polarization.A))
+        got = fock_success_probs(n, m, pairs, U_REF, det)
+        for (pol_a, pol_b), (psi_minus, psi_plus) in zip(pairs, got):
+            expected = permanent_oracle(n, pol_a, m, pol_b, U_REF, det)
+            assert abs(psi_minus - expected[BsmOutcome.PSI_MINUS]) <= 1e-14
+            assert abs(psi_plus - expected[BsmOutcome.PSI_PLUS]) <= 1e-14
+
 
 def symmetric_convention_matrix(net):
     """The relay matrix with i/sqrt(2) on both splitter reflections.
@@ -278,6 +380,21 @@ def symmetric_convention_matrix(net):
     rot_in[2:4, 2:4] = rotation(net.input_rotation_rad)
     rot_out[0:2, 0:2] = rotation(net.output_rotation_rad)
     return rot_out @ np.kron(bs, np.eye(2)) @ rot_in
+
+
+def _random_devices(seed):
+    rng = np.random.default_rng(seed)
+    net = NetworkConfig(*rng.uniform(-0.4, 0.4, 2))
+    det = DetectorModel(efficiency=tuple(rng.uniform(0.05, 1.0, 4)),
+                        dark_prob=tuple(10.0 ** rng.uniform(-8.0, -2.0, 4)))
+    return build_network(net), det
+
+
+FOCK_DEVICES = {
+    "default": (U_REF, REF_DET),
+    **{f"random{k}": _random_devices(100 + k) for k in range(4)},
+    "complex": (symmetric_convention_matrix(REF_NET), REF_DET),
+}
 
 
 class TestCoherentModel:
